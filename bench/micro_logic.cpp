@@ -34,6 +34,51 @@ void BM_HeuristicMinimize(benchmark::State& state) {
 }
 BENCHMARK(BM_HeuristicMinimize)->Arg(6)->Arg(8)->Arg(10);
 
+/// The next-state function of a generated spec's final graph with the
+/// largest |ON| x |OFF| (the product bounds EXPAND's work), synthesized the
+/// way perfbench's pipeline and sequencer workloads run it (CDCL, one
+/// thread).
+logic::SopSpec largest_extracted_function(const stg::Stg& spec) {
+  svc::RequestOptions ropts = svc::default_request_options("modular");
+  svc::set_engine(&ropts, sat::Engine::Cdcl);
+  core::SynthesisOptions opts = ropts.modular;
+  opts.num_threads = 1;
+  opts.derive_logic = false;
+  const auto r = core::modular_synthesis(sg::StateGraph::from_stg(spec), opts);
+  logic::SopSpec best;
+  if (!r.success) return best;
+  for (sg::SignalId s = 0; s < r.final_graph.num_signals(); ++s) {
+    if (r.final_graph.is_input(s)) continue;
+    auto f = logic::extract_next_state(r.final_graph, s);
+    if (f.on.size() * f.off.size() > best.on.size() * best.off.size()) best = std::move(f);
+  }
+  return best;
+}
+
+/// Real sizes: pipeline:5 (17 variables, thousands of OFF minterms) and
+/// sequencer:24 (75 variables, two-word cubes).
+void BM_HeuristicMinimizeExtracted(benchmark::State& state, const char* family, int n) {
+  const std::string name = family + std::to_string(n);
+  const auto spec = largest_extracted_function(
+      std::string(family) == "pipeline" ? benchmarks::gen_pipeline(name, n)
+                                        : benchmarks::gen_sequencer(name, n));
+  if (spec.on.empty()) {
+    state.SkipWithError("synthesis failed");
+    return;
+  }
+  state.counters["vars"] = static_cast<double>(spec.num_vars);
+  state.counters["on"] = static_cast<double>(spec.on.size());
+  state.counters["off"] = static_cast<double>(spec.off.size());
+  for (auto _ : state) {
+    const auto f = logic::heuristic_minimize(spec);
+    benchmark::DoNotOptimize(f.literal_count());
+  }
+}
+BENCHMARK_CAPTURE(BM_HeuristicMinimizeExtracted, pipeline5, "pipeline", 5)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_HeuristicMinimizeExtracted, sequencer24, "sequencer", 24)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_ExactMinimize(benchmark::State& state) {
   const auto spec = random_spec(11, static_cast<std::size_t>(state.range(0)), 0.35, 0.4);
   for (auto _ : state) {

@@ -22,22 +22,6 @@ std::size_t Cover::literal_count() const {
   return n;
 }
 
-void Cover::remove_single_cube_containment() {
-  std::vector<Cube> kept;
-  for (std::size_t i = 0; i < cubes_.size(); ++i) {
-    bool contained = false;
-    for (std::size_t j = 0; j < cubes_.size() && !contained; ++j) {
-      if (i == j) continue;
-      // Strict: contained in a different cube; among equal cubes keep the first.
-      if (cubes_[j].contains(cubes_[i]) && !(cubes_[i].contains(cubes_[j]) && i < j)) {
-        contained = true;
-      }
-    }
-    if (!contained) kept.push_back(cubes_[i]);
-  }
-  cubes_ = std::move(kept);
-}
-
 std::string Cover::to_string() const {
   std::string s;
   for (std::size_t i = 0; i < cubes_.size(); ++i) {

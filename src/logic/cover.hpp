@@ -31,9 +31,6 @@ class Cover {
   /// (unfactored prime irredundant cover, as with espresso -Dso -S1).
   std::size_t literal_count() const;
 
-  /// Remove cubes contained in another single cube of the cover.
-  void remove_single_cube_containment();
-
   /// "10-1 + 1-01" rendering, or named-literal SOP ("a b' + c").
   std::string to_string() const;
   std::string to_expression(const std::vector<std::string>& var_names) const;

@@ -19,73 +19,238 @@ bool cube_hits_off(const Cube& cube, const std::vector<util::BitVec>& off) {
   return false;
 }
 
-/// Expand: free literals in the given variable order while the cube stays
-/// disjoint from OFF.  Produces a prime cube.
-Cube expand_cube(Cube cube, const std::vector<util::BitVec>& off,
-                 const std::vector<std::size_t>& var_order) {
-  for (const std::size_t v : var_order) {
-    if (!cube.has_literal(v)) continue;
-    Cube widened = cube;
-    widened.free_var(v);
-    if (!cube_hits_off(widened, off)) cube = std::move(widened);
+// The heuristic loop runs on a packed form private to this file.  A code
+// over n variables is W = ceil(n/64) words (bit v in word v/64, as in
+// util::BitVec); a cube is W `care` words (bit set = the variable carries a
+// literal) followed by W `value` words (the literal's polarity, kept zero
+// where care is clear, so equal cubes have equal words).  A cube contains a
+// code iff ((code ^ value) & care) == 0 in every word.
+
+std::size_t words_for(std::size_t num_vars) {
+  return std::max<std::size_t>(1, (num_vars + 63) / 64);
+}
+
+bool cube_contains_code(const std::uint64_t* care, const std::uint64_t* value,
+                        const std::uint64_t* code, std::size_t w) {
+  for (std::size_t k = 0; k < w; ++k) {
+    if ((code[k] ^ value[k]) & care[k]) return false;
   }
-  return cube;
+  return true;
+}
+
+/// Does cube a contain every minterm of cube b?
+bool cube_contains(const std::uint64_t* care_a, const std::uint64_t* value_a,
+                   const std::uint64_t* care_b, const std::uint64_t* value_b, std::size_t w) {
+  for (std::size_t k = 0; k < w; ++k) {
+    if ((care_a[k] & ~care_b[k]) || ((value_a[k] ^ value_b[k]) & care_a[k])) return false;
+  }
+  return true;
+}
+
+/// Flat array of codes, W words each.
+std::vector<std::uint64_t> pack_codes(const std::vector<util::BitVec>& codes, std::size_t w) {
+  std::vector<std::uint64_t> out(codes.size() * w, 0);
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    for (std::size_t k = 0; k < codes[i].num_words() && k < w; ++k) {
+      out[i * w + k] = codes[i].word(k);
+    }
+  }
+  return out;
+}
+
+/// Flat array of cubes, 2W words each (care, then value).
+class CubeList {
+ public:
+  explicit CubeList(std::size_t w) : w_(w) {}
+
+  std::size_t size() const { return words_.size() / (2 * w_); }
+  bool empty() const { return words_.empty(); }
+  const std::uint64_t* care(std::size_t i) const { return &words_[i * 2 * w_]; }
+  const std::uint64_t* value(std::size_t i) const { return care(i) + w_; }
+
+  void push(const std::uint64_t* care_words, const std::uint64_t* value_words) {
+    words_.insert(words_.end(), care_words, care_words + w_);
+    words_.insert(words_.end(), value_words, value_words + w_);
+  }
+
+  std::size_t literal_count(std::size_t i) const {
+    std::size_t n = 0;
+    for (std::size_t k = 0; k < w_; ++k) n += static_cast<std::size_t>(std::popcount(care(i)[k]));
+    return n;
+  }
+  std::size_t literal_count() const {
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < size(); ++i) n += literal_count(i);
+    return n;
+  }
+
+  bool contains_code(std::size_t i, const std::uint64_t* code) const {
+    return cube_contains_code(care(i), value(i), code, w_);
+  }
+  /// Does cube i contain cube j?
+  bool contains(std::size_t i, std::size_t j) const {
+    return cube_contains(care(i), value(i), care(j), value(j), w_);
+  }
+
+  Cover to_cover(std::size_t num_vars) const {
+    Cover out(num_vars);
+    for (std::size_t i = 0; i < size(); ++i) {
+      Cube c(num_vars);
+      for (std::size_t v = 0; v < num_vars; ++v) {
+        const std::uint64_t bit = std::uint64_t{1} << (v & 63);
+        if (care(i)[v >> 6] & bit) c.set_literal(v, (value(i)[v >> 6] & bit) != 0);
+      }
+      out.add(std::move(c));
+    }
+    return out;
+  }
+
+ private:
+  std::size_t w_;
+  std::vector<std::uint64_t> words_;
+};
+
+/// Does the cube contain any of the packed codes?
+bool hits_any(const std::uint64_t* care, const std::uint64_t* value,
+              const std::vector<std::uint64_t>& codes, std::size_t w) {
+  if (w == 1) {  // the common case, kept free of the inner word loop
+    const std::uint64_t c = care[0];
+    const std::uint64_t v = value[0];
+    for (const std::uint64_t code : codes) {
+      if (((code ^ v) & c) == 0) return true;
+    }
+    return false;
+  }
+  for (std::size_t base = 0; base < codes.size(); base += w) {
+    if (cube_contains_code(care, value, &codes[base], w)) return true;
+  }
+  return false;
+}
+
+/// Expand: free literals in the given variable order while the cube stays
+/// disjoint from OFF.  Each literal is cleared in place and put back if the
+/// widened cube hits OFF.  Produces a prime cube.
+void expand_cube(std::uint64_t* care, std::uint64_t* value, const std::vector<std::uint64_t>& off,
+                 std::size_t w, const std::vector<std::size_t>& var_order) {
+  for (const std::size_t v : var_order) {
+    const std::size_t k = v >> 6;
+    const std::uint64_t bit = std::uint64_t{1} << (v & 63);
+    if (!(care[k] & bit)) continue;
+    const std::uint64_t polarity = value[k] & bit;
+    care[k] &= ~bit;
+    value[k] &= ~bit;
+    if (hits_any(care, value, off, w)) {
+      care[k] |= bit;
+      value[k] |= polarity;
+    }
+  }
+}
+
+/// Expand every cube of `cover`; a prime already contained in an earlier
+/// prime is skipped, and primes contained in a later one are dropped (among
+/// equal cubes the first is kept).
+CubeList expand(const CubeList& cover, const std::vector<std::uint64_t>& off, std::size_t w,
+                const std::vector<std::size_t>& var_order) {
+  CubeList primes(w);
+  std::vector<std::uint64_t> scratch(2 * w);
+  for (std::size_t i = 0; i < cover.size(); ++i) {
+    std::copy(cover.care(i), cover.care(i) + 2 * w, scratch.begin());
+    std::uint64_t* care = scratch.data();
+    std::uint64_t* value = care + w;
+    expand_cube(care, value, off, w, var_order);
+    bool contained = false;
+    for (std::size_t e = 0; e < primes.size() && !contained; ++e) {
+      contained = cube_contains(primes.care(e), primes.value(e), care, value, w);
+    }
+    if (!contained) primes.push(care, value);
+  }
+  CubeList kept(w);
+  for (std::size_t i = 0; i < primes.size(); ++i) {
+    bool contained = false;
+    for (std::size_t j = 0; j < primes.size() && !contained; ++j) {
+      if (i == j) continue;
+      if (primes.contains(j, i) && !(primes.contains(i, j) && i < j)) contained = true;
+    }
+    if (!contained) kept.push(primes.care(i), primes.value(i));
+  }
+  return kept;
 }
 
 /// Irredundant: keep essential cubes (sole coverer of some ON minterm),
-/// then greedily cover the remaining ON minterms.
-Cover make_irredundant(const Cover& cover, const std::vector<util::BitVec>& on) {
+/// then greedily cover the remaining ON minterms: most newly covered
+/// minterms, then fewest literals, then lowest index.  Each candidate's gain
+/// is kept up to date as minterms get covered.
+CubeList make_irredundant(const CubeList& cover, const std::vector<std::uint64_t>& on,
+                          std::size_t w) {
   const std::size_t nc = cover.size();
-  std::vector<std::vector<std::uint32_t>> coverers(on.size());
-  for (std::size_t mi = 0; mi < on.size(); ++mi) {
+  const std::size_t num_on = on.size() / w;
+  // coverers of each minterm, and minterms of each cube (CSR form).
+  std::vector<std::uint32_t> coverer_start(num_on + 1, 0);
+  std::vector<std::uint32_t> coverers;
+  std::vector<std::uint32_t> cube_count(nc, 0);
+  for (std::size_t mi = 0; mi < num_on; ++mi) {
     for (std::uint32_t ci = 0; ci < nc; ++ci) {
-      if (cover[ci].contains_code(on[mi])) coverers[mi].push_back(ci);
-    }
-    MPS_ASSERT(!coverers[mi].empty());
-  }
-  std::vector<bool> selected(nc, false);
-  std::vector<bool> covered(on.size(), false);
-  for (std::size_t mi = 0; mi < on.size(); ++mi) {
-    if (coverers[mi].size() == 1) selected[coverers[mi][0]] = true;
-  }
-  for (std::size_t mi = 0; mi < on.size(); ++mi) {
-    for (const std::uint32_t ci : coverers[mi]) {
-      if (selected[ci]) {
-        covered[mi] = true;
-        break;
+      if (cover.contains_code(ci, &on[mi * w])) {
+        coverers.push_back(ci);
+        ++cube_count[ci];
       }
     }
+    coverer_start[mi + 1] = static_cast<std::uint32_t>(coverers.size());
+    MPS_ASSERT(coverer_start[mi + 1] > coverer_start[mi]);
   }
-  // Greedy set cover for the rest: most new minterms, then fewest literals.
-  for (;;) {
-    std::size_t uncovered = 0;
-    for (std::size_t mi = 0; mi < on.size(); ++mi) uncovered += covered[mi] ? 0 : 1;
-    if (uncovered == 0) break;
+  std::vector<std::uint32_t> minterm_start(nc + 1, 0);
+  for (std::size_t ci = 0; ci < nc; ++ci) {
+    minterm_start[ci + 1] = minterm_start[ci] + cube_count[ci];
+  }
+  std::vector<std::uint32_t> minterms(coverers.size());
+  std::vector<std::uint32_t> fill(minterm_start.begin(), minterm_start.end() - 1);
+  for (std::uint32_t mi = 0; mi < num_on; ++mi) {
+    for (std::uint32_t p = coverer_start[mi]; p < coverer_start[mi + 1]; ++p) {
+      minterms[fill[coverers[p]]++] = mi;
+    }
+  }
+
+  std::vector<bool> selected(nc, false);
+  std::vector<bool> covered(num_on, false);
+  for (std::size_t mi = 0; mi < num_on; ++mi) {
+    const std::uint32_t first = coverer_start[mi];
+    if (coverer_start[mi + 1] == first + 1) selected[coverers[first]] = true;
+  }
+  std::vector<std::size_t> gain(cube_count.begin(), cube_count.end());
+  std::size_t uncovered = num_on;
+  const auto cover_minterms_of = [&](std::uint32_t ci) {
+    for (std::uint32_t p = minterm_start[ci]; p < minterm_start[ci + 1]; ++p) {
+      const std::uint32_t mi = minterms[p];
+      if (covered[mi]) continue;
+      covered[mi] = true;
+      --uncovered;
+      for (std::uint32_t q = coverer_start[mi]; q < coverer_start[mi + 1]; ++q) --gain[coverers[q]];
+    }
+  };
+  for (std::uint32_t ci = 0; ci < nc; ++ci) {
+    if (selected[ci]) cover_minterms_of(ci);
+  }
+  std::vector<std::size_t> lits(nc);
+  for (std::size_t ci = 0; ci < nc; ++ci) lits[ci] = cover.literal_count(ci);
+  while (uncovered > 0) {
     std::uint32_t best = 0;
     std::size_t best_gain = 0;
     std::size_t best_lits = ~std::size_t{0};
     for (std::uint32_t ci = 0; ci < nc; ++ci) {
       if (selected[ci]) continue;
-      std::size_t gain = 0;
-      for (std::size_t mi = 0; mi < on.size(); ++mi) {
-        if (!covered[mi] && cover[ci].contains_code(on[mi])) ++gain;
-      }
-      const std::size_t lits = cover[ci].literal_count();
-      if (gain > best_gain || (gain == best_gain && gain > 0 && lits < best_lits)) {
+      if (gain[ci] > best_gain || (gain[ci] == best_gain && gain[ci] > 0 && lits[ci] < best_lits)) {
         best = ci;
-        best_gain = gain;
-        best_lits = lits;
+        best_gain = gain[ci];
+        best_lits = lits[ci];
       }
     }
     MPS_ASSERT(best_gain > 0);
     selected[best] = true;
-    for (std::size_t mi = 0; mi < on.size(); ++mi) {
-      if (!covered[mi] && cover[best].contains_code(on[mi])) covered[mi] = true;
-    }
+    cover_minterms_of(best);
   }
-  Cover out(cover.num_vars());
-  for (std::uint32_t ci = 0; ci < nc; ++ci) {
-    if (selected[ci]) out.add(cover[ci]);
+  CubeList out(w);
+  for (std::size_t ci = 0; ci < nc; ++ci) {
+    if (selected[ci]) out.push(cover.care(ci), cover.value(ci));
   }
   return out;
 }
@@ -93,28 +258,46 @@ Cover make_irredundant(const Cover& cover, const std::vector<util::BitVec>& on) 
 /// Reduce (sequential, as in espresso): shrink each cube in turn to the
 /// supercube of the ON minterms no *other current* cube covers; drop cubes
 /// whose minterms are all covered elsewhere.  Processing against the
-/// partially reduced cover preserves total ON coverage.
-Cover reduce(const Cover& cover, const std::vector<util::BitVec>& on) {
-  std::vector<std::optional<Cube>> work;
-  for (const Cube& c : cover.cubes()) work.emplace_back(c);
-  for (std::size_t ci = 0; ci < work.size(); ++ci) {
-    std::optional<Cube> shrunk;
-    for (const auto& code : on) {
-      if (!work[ci].has_value() || !work[ci]->contains_code(code)) continue;
-      bool elsewhere = false;
-      for (std::size_t cj = 0; cj < work.size() && !elsewhere; ++cj) {
-        if (cj != ci && work[cj].has_value() && work[cj]->contains_code(code)) elsewhere = true;
-      }
-      if (!elsewhere) {
-        const Cube m = Cube::minterm(code);
-        shrunk = shrunk.has_value() ? shrunk->supercube(m) : m;
+/// partially reduced cover preserves total ON coverage.  `minterm_care`
+/// has the care bit of every variable set.
+CubeList reduce(const CubeList& cover, const std::vector<std::uint64_t>& on,
+                const std::vector<std::uint64_t>& minterm_care, std::size_t w) {
+  const std::size_t num_on = on.size() / w;
+  // How many current cubes cover each ON minterm.
+  std::vector<std::uint32_t> coverers(num_on, 0);
+  for (std::size_t mi = 0; mi < num_on; ++mi) {
+    for (std::size_t ci = 0; ci < cover.size(); ++ci) {
+      coverers[mi] += cover.contains_code(ci, &on[mi * w]) ? 1 : 0;
+    }
+  }
+  CubeList out(w);
+  std::vector<std::uint64_t> care(w), value(w);
+  std::vector<std::uint32_t> inside;
+  for (std::size_t ci = 0; ci < cover.size(); ++ci) {
+    inside.clear();
+    bool any = false;
+    for (std::uint32_t mi = 0; mi < num_on; ++mi) {
+      const std::uint64_t* code = &on[mi * w];
+      if (!cover.contains_code(ci, code)) continue;
+      inside.push_back(mi);
+      if (coverers[mi] != 1) continue;
+      if (!any) {
+        std::copy(minterm_care.begin(), minterm_care.end(), care.begin());
+        std::copy(code, code + w, value.begin());
+        any = true;
+      } else {
+        for (std::size_t k = 0; k < w; ++k) {
+          care[k] &= ~(value[k] ^ code[k]);
+          value[k] &= care[k];
+        }
       }
     }
-    work[ci] = shrunk;  // nullopt drops a fully redundant cube
-  }
-  Cover out(cover.num_vars());
-  for (auto& c : work) {
-    if (c.has_value()) out.add(std::move(*c));
+    for (const std::uint32_t mi : inside) --coverers[mi];
+    if (!any) continue;  // every minterm is covered elsewhere: drop the cube
+    for (const std::uint32_t mi : inside) {
+      coverers[mi] += cube_contains_code(care.data(), value.data(), &on[mi * w], w) ? 1 : 0;
+    }
+    out.push(care.data(), value.data());
   }
   return out;
 }
@@ -122,36 +305,28 @@ Cover reduce(const Cover& cover, const std::vector<util::BitVec>& on) {
 }  // namespace
 
 Cover heuristic_minimize(const SopSpec& spec, int loops) {
-  Cover cover(spec.num_vars);
-  if (spec.on.empty()) return cover;
+  const std::size_t n = spec.num_vars;
+  if (spec.on.empty()) return Cover(n);
+  const std::size_t w = words_for(n);
+  const std::vector<std::uint64_t> on = pack_codes(spec.on, w);
+  const std::vector<std::uint64_t> off = pack_codes(spec.off, w);
 
-  std::vector<std::size_t> order(spec.num_vars);
-  for (std::size_t v = 0; v < spec.num_vars; ++v) order[v] = v;
+  std::vector<std::size_t> order(n);
+  for (std::size_t v = 0; v < n; ++v) order[v] = v;
   std::vector<std::size_t> reversed(order.rbegin(), order.rend());
 
-  for (const auto& code : spec.on) cover.add(Cube::minterm(code));
+  // Start from the minterm cubes of ON.
+  CubeList cover(w);
+  std::vector<std::uint64_t> minterm_care(w, 0);  // every variable carries a literal
+  for (std::size_t v = 0; v < n; ++v) minterm_care[v >> 6] |= std::uint64_t{1} << (v & 63);
+  for (std::size_t mi = 0; mi < spec.on.size(); ++mi) cover.push(minterm_care.data(), &on[mi * w]);
 
   std::size_t best_lits = ~std::size_t{0};
-  Cover best = cover;
+  CubeList best = cover;
   bool forward = true;
   for (int loop = 0; loop < loops; ++loop) {
-    // EXPAND
-    Cover expanded(spec.num_vars);
-    for (const Cube& c : cover.cubes()) {
-      const Cube prime = expand_cube(c, spec.off, forward ? order : reversed);
-      // Skip if already contained in an expanded cube.
-      bool contained = false;
-      for (const Cube& e : expanded.cubes()) {
-        if (e.contains(prime)) {
-          contained = true;
-          break;
-        }
-      }
-      if (!contained) expanded.add(prime);
-    }
-    expanded.remove_single_cube_containment();
-    // IRREDUNDANT
-    Cover irred = make_irredundant(expanded, spec.on);
+    const CubeList expanded = expand(cover, off, w, forward ? order : reversed);
+    CubeList irred = make_irredundant(expanded, on, w);
     const std::size_t lits = irred.literal_count();
     if (lits < best_lits) {
       best_lits = lits;
@@ -159,12 +334,13 @@ Cover heuristic_minimize(const SopSpec& spec, int loops) {
     }
     if (loop + 1 == loops) break;
     // REDUCE, then loop back to EXPAND in the other direction.
-    cover = reduce(irred, spec.on);
+    cover = reduce(irred, on, minterm_care, w);
     if (cover.empty()) break;
     forward = !forward;
   }
-  MPS_ASSERT(cover_is_valid(spec, best));
-  return best;
+  Cover result = best.to_cover(n);
+  MPS_ASSERT(cover_is_valid(spec, result));
+  return result;
 }
 
 namespace {

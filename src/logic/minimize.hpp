@@ -1,6 +1,7 @@
 // Two-level single-output minimization, replacing the paper's use of
 // `espresso -Dso -S1`:
-//   * a heuristic EXPAND / IRREDUNDANT / REDUCE loop (espresso-style), and
+//   * a heuristic EXPAND / IRREDUNDANT / REDUCE loop (espresso-style) on
+//     packed cubes (any number of variables; 64 per word), and
 //   * an exact Quine-McCluskey + branch-and-bound covering path for
 //     functions small enough to enumerate the don't-care set.
 //
@@ -26,7 +27,10 @@ struct SopSpec {
 struct MinimizeOptions {
   /// Attempt the exact path when the variable count permits DC enumeration.
   bool try_exact = true;
-  std::size_t exact_max_vars = 14;
+  /// Above 10 variables the exact path never finished on the Table-1 and
+  /// generated specs: every such call hit exact_max_primes or the
+  /// branch-node cap and returned nothing, after seconds of work.
+  std::size_t exact_max_vars = 10;
   std::size_t exact_max_primes = 20000;
   std::int64_t exact_max_branch_nodes = 200000;
   int heuristic_loops = 4;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
 #include "logic/cover.hpp"
 #include "logic/cube.hpp"
 #include "logic/extract.hpp"
@@ -88,15 +90,6 @@ TEST(Cover, CoversAndLiteralCount) {
   EXPECT_TRUE(f.covers_code(code("011")));
   EXPECT_FALSE(f.covers_code(code("001")));
   EXPECT_EQ(f.literal_count(), 3u);
-}
-
-TEST(Cover, SingleCubeContainmentRemoval) {
-  Cover f(3);
-  f.add(Cube::from_string("1--"));
-  f.add(Cube::from_string("11-"));  // contained
-  f.add(Cube::from_string("-00"));
-  f.remove_single_cube_containment();
-  EXPECT_EQ(f.size(), 2u);
 }
 
 TEST(Cover, Expressions) {
@@ -190,26 +183,51 @@ TEST(Minimize, HeuristicMatchesExactOnSmallRandomFunctions) {
   }
 }
 
-TEST(Minimize, PrimeAndIrredundantProperties) {
-  mps::util::Rng rng(7);
-  for (int trial = 0; trial < 20; ++trial) {
-    SopSpec spec;
-    spec.num_vars = 5;
-    for (int x = 0; x < 32; ++x) {
-      BitVec c(5);
-      for (int v = 0; v < 5; ++v) c.set(v, (x >> v) & 1);
+/// Random spec over n variables.  For n <= 8 every code is ON, OFF or
+/// don't-care; for larger n the ON/OFF lists are sparse: codes near one
+/// random base code (a few bits flipped), so cubes keep several literals.
+SopSpec random_spec(mps::util::Rng& rng, std::size_t n) {
+  SopSpec spec;
+  spec.num_vars = n;
+  if (n <= 8) {
+    for (std::uint64_t x = 0; x < (std::uint64_t{1} << n); ++x) {
+      BitVec c(n);
+      for (std::size_t v = 0; v < n; ++v) c.set(v, (x >> v) & 1);
       if (rng.chance(0.45)) {
         spec.on.push_back(c);
       } else if (rng.chance(0.8)) {
         spec.off.push_back(c);
       }
     }
-    if (spec.on.empty()) continue;
-    const Cover f = heuristic_minimize(spec);
-    EXPECT_TRUE(cover_is_valid(spec, f));
-    EXPECT_TRUE(cover_is_irredundant(spec, f)) << "trial " << trial;
-    for (const Cube& c : f.cubes()) {
-      EXPECT_TRUE(cube_is_prime(spec, c)) << "trial " << trial;
+    return spec;
+  }
+  BitVec base(n);
+  for (std::size_t v = 0; v < n; ++v) base.set(v, rng.chance(0.5));
+  std::unordered_set<BitVec, mps::util::BitVecHash> seen;
+  for (int i = 0; i < 60; ++i) {
+    BitVec c = base;
+    const auto flips = 1 + rng.below(6);
+    for (std::uint64_t f = 0; f < flips; ++f) c.flip(rng.below(n));
+    if (!seen.insert(c).second) continue;
+    (rng.chance(0.4) ? spec.on : spec.off).push_back(c);
+  }
+  return spec;
+}
+
+// n = 64 and 128 fill their last word; n = 70 leaves it partial.
+TEST(Minimize, PrimeAndIrredundantProperties) {
+  mps::util::Rng rng(7);
+  for (const std::size_t n : {5, 64, 70, 128}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      const SopSpec spec = random_spec(rng, n);
+      if (spec.on.empty()) continue;
+      const Cover f = heuristic_minimize(spec);
+      EXPECT_TRUE(cover_is_valid(spec, f)) << "n " << n << " trial " << trial;
+      EXPECT_TRUE(cover_is_irredundant(spec, f)) << "n " << n << " trial " << trial;
+      for (const Cube& c : f.cubes()) {
+        EXPECT_EQ(c.num_vars(), n);
+        EXPECT_TRUE(cube_is_prime(spec, c)) << "n " << n << " trial " << trial;
+      }
     }
   }
 }
