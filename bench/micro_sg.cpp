@@ -1,6 +1,6 @@
 // Microbenchmarks of the state-graph substrate: reachability + coding,
-// CSC analysis, projection (the ε-merge at the heart of the partitioning)
-// and expansion.
+// CSC analysis, projection (the ε-merge at the heart of the partitioning),
+// expansion, the Figure 2 input-set search and the verify:: checks.
 #include <benchmark/benchmark.h>
 
 #include "mps.hpp"
@@ -82,6 +82,56 @@ void BM_DetermineInputSet(benchmark::State& state, const char* name) {
 }
 BENCHMARK_CAPTURE(BM_DetermineInputSet, mmu1, "mmu1");
 BENCHMARK_CAPTURE(BM_DetermineInputSet, mmu0, "mmu0");
+
+/// A generated spec as perfbench's pipeline and sequencer workloads run it.
+stg::Stg generated(const std::string& family, int n) {
+  const std::string name = family + std::to_string(n);
+  return family == "pipeline" ? benchmarks::gen_pipeline(name, n)
+                              : benchmarks::gen_sequencer(name, n);
+}
+
+/// Real size: the Figure 2 search for every output of a generated spec's
+/// initial graph — the hide_signals + analyze_csc probes of one synthesis
+/// round (no state signals yet).
+void BM_DetermineInputSet(benchmark::State& state, const char* family, int n) {
+  const auto g = sg::StateGraph::from_stg(generated(family, n));
+  sg::Assignments none(g.num_states());
+  for (auto _ : state) {
+    std::size_t kept = 0;
+    for (sg::SignalId o = 0; o < g.num_signals(); ++o) {
+      if (!g.is_input(o)) kept += core::determine_input_set(g, o, none).kept.count();
+    }
+    benchmark::DoNotOptimize(kept);
+  }
+  state.counters["states"] = static_cast<double>(g.num_states());
+  state.counters["signals"] = static_cast<double>(g.num_signals());
+}
+BENCHMARK_CAPTURE(BM_DetermineInputSet, sequencer24, "sequencer", 24)
+    ->Unit(benchmark::kMillisecond);
+
+/// verify::verify_synthesis on a synthesized result (CDCL, one thread, as
+/// perfbench runs it): code and CSC checks, both cover checks per output,
+/// netlist build and the speed-independence verifier.
+void BM_VerifySynthesis(benchmark::State& state, const char* family, int n) {
+  svc::RequestOptions ropts = svc::default_request_options("modular");
+  svc::set_engine(&ropts, sat::Engine::Cdcl);
+  core::SynthesisOptions opts = ropts.modular;
+  opts.num_threads = 1;
+  const auto r = core::modular_synthesis(sg::StateGraph::from_stg(generated(family, n)), opts);
+  if (!r.success) {
+    state.SkipWithError("synthesis failed");
+    return;
+  }
+  for (auto _ : state) {
+    const auto report = verify::verify_synthesis(r.final_graph, r.covers);
+    benchmark::DoNotOptimize(report.ok());
+  }
+  state.counters["states"] = static_cast<double>(r.final_graph.num_states());
+  state.counters["signals"] = static_cast<double>(r.final_graph.num_signals());
+}
+BENCHMARK_CAPTURE(BM_VerifySynthesis, pipeline5, "pipeline", 5)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_VerifySynthesis, sequencer24, "sequencer", 24)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_FullModularSynthesis(benchmark::State& state, const char* name) {
   const auto g =

@@ -310,8 +310,10 @@ int main(int argc, char** argv) {
       seconds = r.seconds;
     }
 
-    // Trace/stats cover the synthesis itself; written even when it failed —
-    // a failing run is exactly the one worth profiling.
+    // Trace/stats cover synthesis and verification; written even when
+    // synthesis failed — a failing run is exactly the one worth profiling.
+    std::optional<verify::Report> verified;
+    if (ok) verified = verify::verify_synthesis(final_graph, covers);
     if (!trace_path.empty()) {
       obs::write_chrome_trace(trace_path);
       if (!quiet) std::printf("wrote %s\n", trace_path.c_str());
@@ -325,7 +327,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: synthesis failed: %s\n", failure.c_str());
       return 1;
     }
-    const auto report = verify::verify_synthesis(final_graph, covers);
+    const verify::Report& report = *verified;
     std::printf("%s: ok, %zu -> %zu states, %zu -> %zu signals, %zu literals, %.3fs, "
                 "verification %s\n",
                 spec.name().c_str(), g.num_states(), final_graph.num_states(),

@@ -10,12 +10,18 @@ namespace mps::bdd {
 
 bool cover_matches_spec(Manager& mgr, const logic::SopSpec& spec, const logic::Cover& cover) {
   MPS_ASSERT(mgr.num_vars() == spec.num_vars && cover.num_vars() == spec.num_vars);
+  // ON and OFF are minterm lists, so ON ⊆ f ⊆ ¬OFF holds iff f is 1 on
+  // every ON code and 0 on every OFF code: one root-to-terminal walk of the
+  // canonical BDD of the cover per code, with no BDD built for the lists.
   const NodeId f = mgr.from_cover(cover);
-  const NodeId on = mgr.from_minterms(spec.on);
-  const NodeId off = mgr.from_minterms(spec.off);
-  // ON ⊆ f:  on ∧ ¬f = ⊥;   f ⊆ ¬OFF:  f ∧ off = ⊥.
-  if (mgr.bdd_and(on, mgr.bdd_not(f)) != mgr.bdd_false()) return false;
-  if (mgr.bdd_and(f, off) != mgr.bdd_false()) return false;
+  for (const util::BitVec& code : spec.on) {
+    MPS_ASSERT(code.size() == spec.num_vars);
+    if (!mgr.eval(f, code)) return false;
+  }
+  for (const util::BitVec& code : spec.off) {
+    MPS_ASSERT(code.size() == spec.num_vars);
+    if (mgr.eval(f, code)) return false;
+  }
   return true;
 }
 

@@ -20,7 +20,9 @@ namespace mps::bdd {
 // the STG without ever enumerating states.
 
 /// Exact equivalence of a minimized cover against its ON/OFF specification
-/// modulo don't-cares:  ON ⊆ cover ⊆ ¬OFF.
+/// modulo don't-cares:  ON ⊆ cover ⊆ ¬OFF, decided by evaluating the
+/// canonical BDD of the cover on every ON and OFF code (linear in the
+/// lists; independent of logic::cover_is_valid's cube containment).
 bool cover_matches_spec(Manager& mgr, const logic::SopSpec& spec, const logic::Cover& cover);
 
 /// BDD-based constraint satisfaction (the core of ref. [19]'s divide and

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "obs/obs.hpp"
 #include "sg/csc.hpp"
 #include "sg/projection.hpp"
 #include "util/common.hpp"
@@ -38,8 +39,9 @@ struct ProbeResult {
   int lower_bound;
 };
 
-std::optional<ProbeResult> probe(const sg::StateGraph& g, sg::SignalId o,
-                                 const util::BitVec& hidden, const sg::Assignments& assigns) {
+std::optional<ProbeResult> probe_hiding(const sg::StateGraph& g, sg::SignalId o,
+                                        const util::BitVec& hidden,
+                                        const sg::Assignments& assigns) {
   const sg::Projection proj = sg::hide_signals(g, hidden, assigns.empty() ? nullptr : &assigns);
   if (!proj.assignments_consistent) return std::nullopt;
   // Remap o into the projection's signal space.
@@ -60,6 +62,14 @@ std::optional<ProbeResult> probe(const sg::StateGraph& g, sg::SignalId o,
 InputSetResult determine_input_set(const sg::StateGraph& g, sg::SignalId o,
                                    const sg::Assignments& assigns, const InputSetOptions& opts) {
   MPS_ASSERT(o < g.num_signals());
+  obs::Span span("core.input_set");
+  // Every hide_signals + analyze_csc probe, counted: a deterministic
+  // effort measure of the Figure 2 search.
+  std::int64_t probes = 0;
+  const auto probe = [&](const util::BitVec& hidden, const sg::Assignments& carried) {
+    ++probes;
+    return probe_hiding(g, o, hidden, carried);
+  };
   InputSetResult result;
   result.triggers = sg_trigger_signals(g, o);
 
@@ -90,7 +100,7 @@ InputSetResult determine_input_set(const sg::StateGraph& g, sg::SignalId o,
   }
 
   // Baseline conflicts/lower-bound on the unhidden graph.
-  const auto base = probe(g, o, hidden, assigns);
+  const auto base = probe(hidden, assigns);
   MPS_ASSERT(base.has_value());
   std::size_t n_csc = base->conflicts;
   int lb = base->lower_bound;
@@ -103,7 +113,7 @@ InputSetResult determine_input_set(const sg::StateGraph& g, sg::SignalId o,
     std::vector<sg::SignalId> rejected;
     for (const sg::SignalId s : pending) {
       hidden.set(s);
-      const auto probed = probe(g, o, hidden, assigns);
+      const auto probed = probe(hidden, assigns);
       if (probed.has_value() && probed->conflicts <= n_csc && probed->lower_bound <= lb) {
         n_csc = probed->conflicts;
         lb = probed->lower_bound;
@@ -125,7 +135,7 @@ InputSetResult determine_input_set(const sg::StateGraph& g, sg::SignalId o,
   std::vector<std::size_t> kept_ss(assigns.num_signals());
   std::iota(kept_ss.begin(), kept_ss.end(), 0u);
   {
-    const auto full = probe(g, o, hidden, assigns.subset(kept_ss));
+    const auto full = probe(hidden, assigns.subset(kept_ss));
     MPS_ASSERT(full.has_value());
     std::size_t current = full->conflicts;
     for (std::size_t k = assigns.num_signals(); k-- > 0;) {
@@ -133,7 +143,7 @@ InputSetResult determine_input_set(const sg::StateGraph& g, sg::SignalId o,
       for (const std::size_t x : kept_ss) {
         if (x != k) without.push_back(x);
       }
-      const auto probed = probe(g, o, hidden, assigns.subset(without));
+      const auto probed = probe(hidden, assigns.subset(without));
       if (probed.has_value() && probed->conflicts <= current) {
         kept_ss = std::move(without);
         current = probed->conflicts;
@@ -144,6 +154,9 @@ InputSetResult determine_input_set(const sg::StateGraph& g, sg::SignalId o,
   result.kept_state_signals = std::move(kept_ss);
   result.module_conflicts = n_csc;
   result.module_lower_bound = lb;
+  obs::counter_add("core.input_set_probes", probes);
+  span.arg("output", o);
+  span.arg("probes", probes);
   return result;
 }
 

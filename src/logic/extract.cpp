@@ -13,6 +13,15 @@ bool implied_value(const sg::StateGraph& g, sg::StateId st, sg::SignalId s) {
   return g.excited_dir(st, s, /*rise=*/true);
 }
 
+bool code_less(const util::BitVec& a, const util::BitVec& b) {
+  MPS_ASSERT(a.size() == b.size());
+  for (std::size_t k = 0; k < a.num_words(); ++k) {
+    const std::uint64_t diff = a.word(k) ^ b.word(k);
+    if (diff != 0) return (a.word(k) & (diff & -diff)) == 0;
+  }
+  return false;
+}
+
 SopSpec extract_next_state(const sg::StateGraph& g, sg::SignalId s) {
   MPS_ASSERT(!g.is_input(s));
   SopSpec spec;
@@ -31,18 +40,9 @@ SopSpec extract_next_state(const sg::StateGraph& g, sg::SignalId s) {
   for (const auto& [code, f] : table) {
     (f ? spec.on : spec.off).push_back(code);
   }
-  // Deterministic order (hash maps iterate arbitrarily): the order of the
-  // "0101..." renderings, bit 0 first.  At the lowest differing bit, the
-  // code with 0 there sorts first.
-  const auto by_bits = [](const util::BitVec& a, const util::BitVec& b) {
-    for (std::size_t k = 0; k < a.num_words(); ++k) {
-      const std::uint64_t diff = a.word(k) ^ b.word(k);
-      if (diff != 0) return (a.word(k) & (diff & -diff)) == 0;
-    }
-    return false;
-  };
-  std::sort(spec.on.begin(), spec.on.end(), by_bits);
-  std::sort(spec.off.begin(), spec.off.end(), by_bits);
+  // Deterministic order (hash maps iterate arbitrarily).
+  std::sort(spec.on.begin(), spec.on.end(), code_less);
+  std::sort(spec.off.begin(), spec.off.end(), code_less);
   return spec;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "logic/extract.hpp"
 #include "util/common.hpp"
 
 namespace mps::netlist {
@@ -100,12 +101,9 @@ std::pair<logic::SopSpec, logic::SopSpec> extract_set_reset(const sg::StateGraph
     if (exc == 2) reset_spec.on.push_back(code);
     else if (exc == 1 || value) reset_spec.off.push_back(code);
   }
-  const auto by_bits = [](const util::BitVec& a, const util::BitVec& b) {
-    return a.to_string() < b.to_string();
-  };
   for (auto* spec : {&set_spec, &reset_spec}) {
-    std::sort(spec->on.begin(), spec->on.end(), by_bits);
-    std::sort(spec->off.begin(), spec->off.end(), by_bits);
+    std::sort(spec->on.begin(), spec->on.end(), logic::code_less);
+    std::sort(spec->off.begin(), spec->off.end(), logic::code_less);
   }
   return {std::move(set_spec), std::move(reset_spec)};
 }

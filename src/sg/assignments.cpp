@@ -32,13 +32,6 @@ std::size_t Assignments::add_signal(std::string name, std::vector<V4> values) {
   return signals_.size() - 1;
 }
 
-bool Assignments::separates_pair(StateId a, StateId b) const {
-  for (const auto& sig : signals_) {
-    if (separates(sig.values[a], sig.values[b])) return true;
-  }
-  return false;
-}
-
 Assignments Assignments::subset(const std::vector<std::size_t>& keep) const {
   Assignments out(num_states_);
   for (const std::size_t k : keep) {

@@ -76,9 +76,6 @@ class Assignments {
   void set(std::size_t k, StateId s, V4 v) { signals_[k].values[s] = v; }
   const std::vector<V4>& values(std::size_t k) const { return signals_[k].values; }
 
-  /// True if some signal separates the pair (stable complementary values).
-  bool separates_pair(StateId a, StateId b) const;
-
   /// Excited direction of signal k in state s: Up -> n+ excited,
   /// Down -> n- excited, else not excited.
   std::optional<bool> excited_rise(std::size_t k, StateId s) const {

@@ -1,7 +1,6 @@
 #include "sg/csc.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "obs/obs.hpp"
 #include "util/common.hpp"
@@ -25,18 +24,21 @@ namespace {
 /// a fixed number of 64-bit words per state instead of a heap-allocated
 /// string (DESIGN.md "Hot paths").  Layout: the excitation part first
 /// (2 bits for a focus signal, else one bit per signal of the
-/// excited-non-input set), then 2 bits per inserted state signal encoding
-/// {Up, Down, stable} — the same three-way distinction the old character
-/// key made (Zero and One both rendered as '.').  Packing is injective per
-/// component, so key equality coincides with string equality.
+/// excited-non-input set), then, from the next even bit, 2 bits per
+/// inserted state signal encoding {Up, Down, stable} — the same three-way
+/// distinction the old character key made (Zero and One both rendered as
+/// '.').  Packing is injective per component, so key equality coincides
+/// with string equality.
 class SignatureKeys {
  public:
   SignatureKeys(const StateGraph& g, const Assignments* assigns, const CscOptions& opts)
       : g_(g), assigns_(assigns), focus_(opts.focus_signal) {
     const std::size_t excite_bits = focus_ != stg::kNoSignal ? 2 : g.num_signals();
-    assign_base_ = excite_bits;
+    // Even, so no 2-bit field straddles a word boundary: a field at bit 63
+    // would lose its high bit, and Down would read as stable.
+    assign_base_ = (excite_bits + 1) & ~std::size_t{1};
     const std::size_t total_bits =
-        excite_bits + 2 * (assigns != nullptr ? assigns->num_signals() : 0);
+        assign_base_ + 2 * (assigns != nullptr ? assigns->num_signals() : 0);
     words_ = std::max<std::size_t>(1, (total_bits + 63) / 64);
   }
 
@@ -75,74 +77,109 @@ class SignatureKeys {
   std::size_t words_ = 1;
 };
 
+/// Stable-value masks of the state signals, KW = ceil(K/64) words per
+/// state: bit k of zero(s) / one(s) is set iff signal k is stable at 0 / 1
+/// in s.  Only stable complementary values separate a pair (sg::separates),
+/// so a and b are separated iff (zero(a) & one(b)) | (one(a) & zero(b)) is
+/// nonzero in some word.
+class SeparationMasks {
+ public:
+  SeparationMasks(const StateGraph& g, const Assignments* assigns) {
+    const std::size_t k_signals = assigns != nullptr ? assigns->num_signals() : 0;
+    words_ = (k_signals + 63) / 64;
+    zero_.assign(g.num_states() * words_, 0);
+    one_.assign(g.num_states() * words_, 0);
+    for (std::size_t k = 0; k < k_signals; ++k) {
+      const std::vector<V4>& values = assigns->values(k);
+      const std::size_t wi = k >> 6;
+      const std::uint64_t bit = std::uint64_t{1} << (k & 63);
+      for (StateId s = 0; s < g.num_states(); ++s) {
+        if (values[s] == V4::Zero) zero_[s * words_ + wi] |= bit;
+        if (values[s] == V4::One) one_[s * words_ + wi] |= bit;
+      }
+    }
+  }
+
+  bool separated(StateId a, StateId b) const {
+    const std::uint64_t* za = zero_.data() + a * words_;
+    const std::uint64_t* oa = one_.data() + a * words_;
+    const std::uint64_t* zb = zero_.data() + b * words_;
+    const std::uint64_t* ob = one_.data() + b * words_;
+    for (std::size_t wi = 0; wi < words_; ++wi) {
+      if (((za[wi] & ob[wi]) | (oa[wi] & zb[wi])) != 0) return true;
+    }
+    return false;
+  }
+
+ private:
+  std::size_t words_ = 0;
+  std::vector<std::uint64_t> zero_, one_;
+};
+
 }  // namespace
 
 CscResult analyze_csc(const StateGraph& g, const Assignments* assigns, const CscOptions& opts) {
   obs::Span span("sg.analyze_csc");
   CscResult result;
 
-  std::unordered_map<util::BitVec, std::vector<StateId>, util::BitVecHash> by_code;
-  for (StateId s = 0; s < g.num_states(); ++s) by_code[g.code(s)].push_back(s);
+  // Code classes of two or more states, ordered by smallest member, and
+  // next_member[s]: the next member of s's class in ascending order.
+  const std::size_t n = g.num_states();
+  const std::vector<std::vector<StateId>> classes = code_classes(g);
+  std::vector<StateId> next_member(n, kNoState);
+  for (const auto& members : classes) {
+    for (std::size_t i = 0; i + 1 < members.size(); ++i) next_member[members[i]] = members[i + 1];
+  }
 
+  // Signatures of the class members (n rows of W words; the rows of
+  // states without a code twin stay unused).
   const SignatureKeys keys(g, assigns, opts);
+  const SeparationMasks masks(g, assigns);
   const std::size_t W = keys.words_per_key();
-  std::vector<std::uint64_t> sigs;       // k packed signatures, reused per class
-  std::vector<char> in_conflict;         // per class member, reused
-  std::vector<std::uint32_t> distinct;   // member indices of distinct conflicted sigs
+  std::vector<std::uint64_t> sigs(n * W);
+  for (const auto& members : classes) {
+    for (const StateId s : members) keys.fill(s, sigs.data() + s * W);
+  }
+  const auto same_sig = [&](StateId a, StateId b) {
+    return std::equal(sigs.data() + a * W, sigs.data() + (a + 1) * W, sigs.data() + b * W);
+  };
 
-  for (const auto& [code, states] : by_code) {
-    const std::size_t k = states.size();
-    if (k < 2) continue;
-    result.num_usc_pairs += k * (k - 1) / 2;
-    result.max_class_size = std::max(result.max_class_size, k);
-
-    sigs.assign(k * W, 0);
-    for (std::size_t i = 0; i < k; ++i) keys.fill(states[i], sigs.data() + i * W);
-    const auto same_sig = [&](std::size_t i, std::size_t j) {
-      return std::equal(sigs.begin() + i * W, sigs.begin() + (i + 1) * W,
-                        sigs.begin() + j * W);
-    };
-
-    // States in at least one unresolved conflict: the states that still
-    // need distinguishing; the number of distinct signatures among them
-    // lower-bounds the state signals this class requires.
-    in_conflict.assign(k, 0);
-    bool class_has_conflict = false;
-    for (std::size_t i = 0; i < k; ++i) {
-      for (std::size_t j = i + 1; j < k; ++j) {
-        if (assigns != nullptr && assigns->separates_pair(states[i], states[j])) continue;
-        StateId a = states[i];
-        StateId b = states[j];
-        if (a > b) std::swap(a, b);
-        if (same_sig(i, j)) {
-          result.compatible_pairs.emplace_back(a, b);
-        } else {
-          result.conflicts.emplace_back(a, b);
-          class_has_conflict = true;
-          in_conflict[i] = in_conflict[j] = 1;
-        }
+  // Every unseparated pair (a, b), a < b, in lexicographic order with no
+  // sort: a ascending, then the later members of a's class ascending.
+  // in_conflict marks the states in at least one unresolved conflict.
+  std::vector<char> in_conflict(n, 0);
+  for (StateId a = 0; a < n; ++a) {
+    for (StateId b = next_member[a]; b != kNoState; b = next_member[b]) {
+      if (masks.separated(a, b)) continue;
+      if (same_sig(a, b)) {
+        result.compatible_pairs.emplace_back(a, b);
+      } else {
+        result.conflicts.emplace_back(a, b);
+        in_conflict[a] = in_conflict[b] = 1;
       }
     }
-    if (class_has_conflict) {
-      distinct.clear();
-      for (std::uint32_t i = 0; i < k; ++i) {
-        if (!in_conflict[i]) continue;
-        bool seen = false;
-        for (const std::uint32_t rep : distinct) {
-          if (same_sig(i, rep)) {
-            seen = true;
-            break;
-          }
-        }
-        if (!seen) distinct.push_back(i);
+  }
+
+  // Per class: the conflicted states still need distinguishing, so the
+  // number of distinct signatures among them lower-bounds the state
+  // signals the class requires.
+  std::vector<StateId> distinct;  // one conflicted member per distinct signature
+  for (const auto& members : classes) {
+    const std::size_t k = members.size();
+    result.num_usc_pairs += k * (k - 1) / 2;
+    result.max_class_size = std::max(result.max_class_size, k);
+    distinct.clear();
+    for (const StateId s : members) {
+      if (in_conflict[s] && std::none_of(distinct.begin(), distinct.end(),
+                                         [&](StateId rep) { return same_sig(s, rep); })) {
+        distinct.push_back(s);
       }
+    }
+    if (!distinct.empty()) {
       result.lower_bound = std::max(result.lower_bound, ceil_log2(distinct.size()));
     }
   }
 
-  // Deterministic order regardless of hash iteration.
-  std::sort(result.conflicts.begin(), result.conflicts.end());
-  std::sort(result.compatible_pairs.begin(), result.compatible_pairs.end());
   span.arg("states", static_cast<std::int64_t>(g.num_states()));
   span.arg("conflicts", static_cast<std::int64_t>(result.conflicts.size()));
   span.arg("usc_pairs", static_cast<std::int64_t>(result.num_usc_pairs));

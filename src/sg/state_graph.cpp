@@ -1,7 +1,6 @@
 #include "sg/state_graph.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "obs/obs.hpp"
 #include "petri/analysis.hpp"
@@ -9,24 +8,58 @@
 
 namespace mps::sg {
 
-SignalId StateGraph::find_signal(std::string_view name) const {
-  // Hash lookup instead of a linear scan: several call sites sit inside
-  // per-state loops, where O(#signals) per call added up.
-  const auto it = by_name_.find(name);
-  return it == by_name_.end() ? stg::kNoSignal : it->second;
+StateGraph::StateGraph(std::vector<SignalInfo> signals) : signals_(std::move(signals)) {
+  input_mask_.resize(signals_.size());
+  by_name_.resize(signals_.size());
+  for (SignalId s = 0; s < signals_.size(); ++s) {
+    by_name_[s] = s;
+    if (signals_[s].is_input) input_mask_.set(s);
+  }
+  std::sort(by_name_.begin(), by_name_.end(),
+            [&](SignalId a, SignalId b) { return name_less(a, b); });
 }
 
-void StateGraph::index_signal(SignalId s) {
-  // try_emplace keeps the first (lowest) id on duplicate names, matching
-  // the linear scan this index replaced.
-  by_name_.try_emplace(signals_[s].name, s);
+StateGraph StateGraph::with_signals_of(const StateGraph& parent,
+                                       const std::vector<SignalId>& kept) {
+  StateGraph g;
+  g.signals_.reserve(kept.size());
+  g.input_mask_.resize(kept.size());
+  std::vector<SignalId> dense(parent.num_signals(), stg::kNoSignal);
+  for (SignalId i = 0; i < kept.size(); ++i) {
+    MPS_ASSERT(i == 0 || kept[i - 1] < kept[i]);
+    dense[kept[i]] = i;
+    g.signals_.push_back(parent.signals_[kept[i]]);
+    if (parent.is_input(kept[i])) g.input_mask_.set(i);
+  }
+  // Renumbering by ascending kept ids keeps the (name, id) order.
+  g.by_name_.reserve(kept.size());
+  for (const SignalId id : parent.by_name_) {
+    if (dense[id] != stg::kNoSignal) g.by_name_.push_back(dense[id]);
+  }
+  return g;
+}
+
+bool StateGraph::name_less(SignalId a, SignalId b) const {
+  const int order = signals_[a].name.compare(signals_[b].name);
+  return order != 0 ? order < 0 : a < b;
+}
+
+SignalId StateGraph::find_signal(std::string_view name) const {
+  // Binary search instead of a linear scan: several call sites sit inside
+  // per-state loops, where O(#signals) per call added up.
+  const auto it = std::lower_bound(
+      by_name_.begin(), by_name_.end(), name,
+      [&](SignalId id, std::string_view key) { return signals_[id].name < key; });
+  return it != by_name_.end() && signals_[*it].name == name ? *it : stg::kNoSignal;
 }
 
 SignalId StateGraph::add_signal(const SignalInfo& info, bool value) {
   signals_.push_back(info);
   for (auto& code : codes_) code.push_back(value);
   const SignalId s = static_cast<SignalId>(signals_.size() - 1);
-  index_signal(s);
+  by_name_.insert(std::upper_bound(by_name_.begin(), by_name_.end(), s,
+                                   [&](SignalId a, SignalId b) { return name_less(a, b); }),
+                  s);
   input_mask_.push_back(info.is_input);
   return s;
 }
@@ -252,15 +285,40 @@ StateGraph StateGraph::from_stg(const stg::Stg& stg, const BuildOptions& opts) {
 }
 
 std::vector<std::vector<StateId>> code_classes(const StateGraph& g) {
-  std::unordered_map<util::BitVec, std::vector<StateId>, util::BitVecHash> by_code;
-  for (StateId s = 0; s < g.num_states(); ++s) by_code[g.code(s)].push_back(s);
-  std::vector<std::vector<StateId>> classes;
-  for (auto& [code, states] : by_code) {
-    if (states.size() >= 2) classes.push_back(std::move(states));
+  // A flat open-addressing table of codes (slot -> class), probed with
+  // Fibonacci hashing: the top bits of the product mix every code bit,
+  // while the low bits of BitVec::hash follow the low code bits only.
+  // Each class is a chain of its members in ascending order; classes are
+  // numbered by first member, so they come out ordered by smallest member.
+  const std::size_t n = g.num_states();
+  constexpr std::uint32_t kEmpty = 0xFFFFFFFFu;
+  int table_bits = 1;
+  while ((std::size_t{1} << table_bits) < 2 * n) ++table_bits;
+  const std::size_t table_mask = (std::size_t{1} << table_bits) - 1;
+  std::vector<std::uint32_t> table(table_mask + 1, kEmpty);
+  std::vector<StateId> first, last;  // per class
+  std::vector<StateId> next(n, kNoState);
+  for (StateId s = 0; s < n; ++s) {
+    std::size_t slot = static_cast<std::size_t>(
+        (g.code(s).hash() * 0x9E3779B97F4A7C15ULL) >> (64 - table_bits));
+    while (table[slot] != kEmpty && g.code(first[table[slot]]) != g.code(s)) {
+      slot = (slot + 1) & table_mask;
+    }
+    if (table[slot] == kEmpty) {
+      table[slot] = static_cast<std::uint32_t>(first.size());
+      first.push_back(s);
+      last.push_back(s);
+    } else {
+      next[last[table[slot]]] = s;
+      last[table[slot]] = s;
+    }
   }
-  // Deterministic order: by smallest member.
-  std::sort(classes.begin(), classes.end(),
-            [](const auto& a, const auto& b) { return a.front() < b.front(); });
+  std::vector<std::vector<StateId>> classes;
+  for (const StateId head : first) {
+    if (next[head] == kNoState) continue;
+    std::vector<StateId>& members = classes.emplace_back();
+    for (StateId s = head; s != kNoState; s = next[s]) members.push_back(s);
+  }
   return classes;
 }
 

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "petri/net.hpp"
@@ -56,13 +55,12 @@ struct BuildOptions {
 class StateGraph {
  public:
   StateGraph() = default;
-  explicit StateGraph(std::vector<SignalInfo> signals) : signals_(std::move(signals)) {
-    input_mask_.resize(signals_.size());
-    for (SignalId s = 0; s < signals_.size(); ++s) {
-      index_signal(s);
-      if (signals_[s].is_input) input_mask_.set(s);
-    }
-  }
+  explicit StateGraph(std::vector<SignalInfo> signals);
+  /// A graph with no states whose signals are those of `parent` listed in
+  /// `kept` (ascending ids; kept[i] becomes signal i) — where the quotient
+  /// graphs of sg::hide_signals start.  The name index is filtered from the
+  /// parent's instead of rebuilt.
+  static StateGraph with_signals_of(const StateGraph& parent, const std::vector<SignalId>& kept);
 
   /// Exhaustive reachability + consistent-code inference (§2).  Throws
   /// util::SemanticsError if the STG admits no consistent state assignment
@@ -121,21 +119,14 @@ class StateGraph {
   void check_consistency() const;
 
  private:
-  /// Heterogeneous string hashing so find_signal(string_view) needs no
-  /// temporary std::string.
-  struct NameHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-
-  void index_signal(SignalId s);
+  /// (name, id) order on signal ids.
+  bool name_less(SignalId a, SignalId b) const;
 
   std::vector<SignalInfo> signals_;
-  /// name -> lowest SignalId with that name (same answer as a front-to-back
-  /// linear scan); maintained by the constructor and add_signal().
-  std::unordered_map<std::string, SignalId, NameHash, std::equal_to<>> by_name_;
+  /// Signal ids sorted by (name, id): find_signal is a binary search that
+  /// returns the lowest id with the name (the answer of a front-to-back
+  /// scan); maintained by the constructors and add_signal().
+  std::vector<SignalId> by_name_;
   util::BitVec input_mask_;               // bit per signal; see input_mask()
   std::vector<util::BitVec> codes_;       // per state; width == signals_.size()
   std::vector<std::vector<Edge>> out_;    // per state
@@ -144,7 +135,8 @@ class StateGraph {
 };
 
 /// Group states by identical code.  Returns class representative list:
-/// classes[k] = state ids sharing one code (only classes of size >= 2).
+/// classes[k] = state ids sharing one code (only classes of size >= 2),
+/// members ascending, classes ordered by smallest member.
 std::vector<std::vector<StateId>> code_classes(const StateGraph& g);
 
 /// Consistent state assignment inference (§2), exposed for tests and

@@ -8,6 +8,7 @@
 #include "logic/minimize.hpp"
 #include "netlist/build.hpp"
 #include "netlist/verify_si.hpp"
+#include "obs/obs.hpp"
 #include "sg/csc.hpp"
 #include "sg/expand.hpp"
 #include "util/text.hpp"
@@ -36,6 +37,40 @@ bool check_codes(const sg::StateGraph& g, std::vector<std::string>* issues) {
     }
   }
   return ok;
+}
+
+/// Every non-input signal has a cover that passes both the cube check
+/// (logic::cover_is_valid) and the BDD oracle (bdd::cover_matches_spec)
+/// against its ON/OFF spec.
+void check_covers(const sg::StateGraph& g,
+                  const std::vector<std::pair<std::string, logic::Cover>>& covers,
+                  Report* report) {
+  obs::Span span("verify.covers");
+  span.arg("covers", static_cast<std::int64_t>(covers.size()));
+  report->covers_valid = true;
+  report->covers_exact = true;
+  bdd::Manager mgr(g.num_signals());
+  for (sg::SignalId s = 0; s < g.num_signals(); ++s) {
+    if (g.is_input(s)) continue;
+    const auto it =
+        std::find_if(covers.begin(), covers.end(),
+                     [&](const auto& entry) { return entry.first == g.signal(s).name; });
+    if (it == covers.end()) {
+      report->issues.push_back("missing cover for signal " + g.signal(s).name);
+      report->covers_valid = false;
+      report->covers_exact = false;
+      continue;
+    }
+    const logic::SopSpec spec = logic::extract_next_state(g, s);
+    if (!logic::cover_is_valid(spec, it->second)) {
+      report->issues.push_back("cover of " + g.signal(s).name + " violates its ON/OFF spec");
+      report->covers_valid = false;
+    }
+    if (!bdd::cover_matches_spec(mgr, spec, it->second)) {
+      report->issues.push_back("BDD mismatch for cover of " + g.signal(s).name);
+      report->covers_exact = false;
+    }
+  }
 }
 
 }  // namespace
@@ -73,33 +108,11 @@ Report verify_synthesis(const sg::StateGraph& g,
     return report;
   }
 
-  report.covers_valid = true;
-  report.covers_exact = true;
-  bdd::Manager mgr(g.num_signals());
-  for (sg::SignalId s = 0; s < g.num_signals(); ++s) {
-    if (g.is_input(s)) continue;
-    const auto it =
-        std::find_if(covers.begin(), covers.end(),
-                     [&](const auto& entry) { return entry.first == g.signal(s).name; });
-    if (it == covers.end()) {
-      report.issues.push_back("missing cover for signal " + g.signal(s).name);
-      report.covers_valid = false;
-      report.covers_exact = false;
-      continue;
-    }
-    const logic::SopSpec spec = logic::extract_next_state(g, s);
-    if (!logic::cover_is_valid(spec, it->second)) {
-      report.issues.push_back("cover of " + g.signal(s).name + " violates its ON/OFF spec");
-      report.covers_valid = false;
-    }
-    if (!bdd::cover_matches_spec(mgr, spec, it->second)) {
-      report.issues.push_back("BDD mismatch for cover of " + g.signal(s).name);
-      report.covers_exact = false;
-    }
-  }
+  check_covers(g, covers, &report);
 
   // Gate level: materialize the complex-gate netlist and check it under
   // the unbounded-delay model against the graph it was read off.
+  obs::Span si_span("verify.si");
   try {
     const netlist::Netlist circuit = netlist::build_netlist(g, covers);
     const netlist::SiResult si = netlist::verify_speed_independence(circuit, g);

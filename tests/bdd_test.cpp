@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
 #include "bdd/bdd.hpp"
 #include "bdd/csc_bdd.hpp"
 #include "bdd/symbolic.hpp"
@@ -311,6 +313,108 @@ TEST(CscBdd, CoverMatchesSpecExactly) {
   mps::logic::Cover dc(3);
   dc.add(mps::logic::Cube::from_string("1--"));  // covers DC 100, 101
   EXPECT_TRUE(cover_matches_spec(mgr, spec, dc));
+}
+
+/// A random spec over n variables: for n <= 8 every code is ON (45%), OFF
+/// or don't-care; for larger n the lists are sparse codes near one random
+/// base code, so minimized cubes keep several literals.
+mps::logic::SopSpec random_sparse_spec(mps::util::Rng& rng, std::size_t n) {
+  mps::logic::SopSpec spec;
+  spec.num_vars = n;
+  if (n <= 8) {
+    for (std::uint64_t x = 0; x < (std::uint64_t{1} << n); ++x) {
+      BitVec c(n);
+      for (std::size_t v = 0; v < n; ++v) c.set(v, (x >> v) & 1);
+      if (rng.chance(0.45)) {
+        spec.on.push_back(c);
+      } else if (rng.chance(0.8)) {
+        spec.off.push_back(c);
+      }
+    }
+    return spec;
+  }
+  BitVec base(n);
+  for (std::size_t v = 0; v < n; ++v) base.set(v, rng.chance(0.5));
+  std::unordered_set<BitVec, mps::util::BitVecHash> seen;
+  for (int i = 0; i < 60; ++i) {
+    BitVec c = base;
+    const auto flips = 1 + rng.below(6);
+    for (std::uint64_t f = 0; f < flips; ++f) c.flip(rng.below(n));
+    if (!seen.insert(c).second) continue;
+    (rng.chance(0.4) ? spec.on : spec.off).push_back(c);
+  }
+  return spec;
+}
+
+/// The containment formulation the oracle used before: ON and OFF built as
+/// BDDs minterm by minterm, then on ∧ ¬f = ⊥ and f ∧ off = ⊥.
+bool containment_reference(Manager& mgr, const mps::logic::SopSpec& spec,
+                           const mps::logic::Cover& cover) {
+  const NodeId f = mgr.from_cover(cover);
+  const NodeId on = mgr.from_minterms(spec.on);
+  const NodeId off = mgr.from_minterms(spec.off);
+  return mgr.bdd_and(on, mgr.bdd_not(f)) == kFalse && mgr.bdd_and(f, off) == kFalse;
+}
+
+TEST(CscBdd, CoverOracleAgreesWithContainmentAndCubeCheck) {
+  using mps::logic::Cover;
+  using mps::logic::Cube;
+  mps::util::Rng rng(1313);
+  int accepted = 0;
+  int rejected = 0;
+  for (const std::size_t n : {5, 64, 70, 99}) {
+    for (int trial = 0; trial < 12; ++trial) {
+      const mps::logic::SopSpec spec = random_sparse_spec(rng, n);
+      if (spec.on.empty()) continue;
+      const Cover minimized = mps::logic::heuristic_minimize(spec);
+      std::vector<std::pair<const char*, Cover>> cases;
+      cases.emplace_back("minimized", minimized);
+      // Undershoot: one cube dropped.
+      Cover dropped(n);
+      const std::size_t drop = rng.below(minimized.size());
+      for (std::size_t i = 0; i < minimized.size(); ++i) {
+        if (i != drop) dropped.add(minimized[i]);
+      }
+      cases.emplace_back("undershoot", dropped);
+      // Overreach: free the literals of one cube until it hits OFF.
+      if (!spec.off.empty()) {
+        Cover widened = minimized;
+        Cube& cube = widened.cubes()[rng.below(widened.size())];
+        const auto hits_off = [&] {
+          for (const BitVec& code : spec.off) {
+            if (cube.contains_code(code)) return true;
+          }
+          return false;
+        };
+        for (std::size_t v = 0; v < n && !hits_off(); ++v) cube.free_var(v);
+        cases.emplace_back("overreach", widened);
+      }
+      // A don't-care minterm added as an extra cube.
+      std::unordered_set<BitVec, mps::util::BitVecHash> cared(spec.on.begin(), spec.on.end());
+      cared.insert(spec.off.begin(), spec.off.end());
+      for (int attempt = 0; attempt < 64; ++attempt) {
+        BitVec dc(n);
+        for (std::size_t v = 0; v < n; ++v) dc.set(v, rng.chance(0.5));
+        if (cared.count(dc) != 0) continue;
+        Cover extra = minimized;
+        extra.add(Cube::minterm(dc));
+        cases.emplace_back("dc", extra);
+        break;
+      }
+      Manager mgr(n);
+      for (const auto& [what, cover] : cases) {
+        const bool oracle = cover_matches_spec(mgr, spec, cover);
+        EXPECT_EQ(oracle, containment_reference(mgr, spec, cover))
+            << what << " n " << n << " trial " << trial;
+        EXPECT_EQ(oracle, mps::logic::cover_is_valid(spec, cover))
+            << what << " n " << n << " trial " << trial;
+        (oracle ? accepted : rejected) += 1;
+      }
+    }
+  }
+  // Both verdicts occur, so neither side can pass by always agreeing on one.
+  EXPECT_GT(accepted, 20);
+  EXPECT_GT(rejected, 20);
 }
 
 TEST(SolveCnfBdd, AgreesWithDpll) {

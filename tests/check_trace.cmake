@@ -25,7 +25,8 @@ if(n_events LESS 10)
 endif()
 
 foreach(span sat.solve petri.reachability sg.infer_codes sg.analyze_csc
-             synth.modular synth.wave synth.module pool.task)
+             synth.modular synth.wave synth.module pool.task
+             core.input_set verify.covers verify.si)
   if(NOT trace MATCHES "\"name\":\"${span}\"")
     message(FATAL_ERROR "trace is missing span '${span}'")
   endif()

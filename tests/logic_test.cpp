@@ -246,6 +246,22 @@ TEST(ExactMinimize, RefusesOversizedInstances) {
 
 // --- extraction ---------------------------------------------------------
 
+TEST(Extract, CodeLessIsTheRenderingOrder) {
+  mps::util::Rng rng(99);
+  for (const std::size_t n : {5, 64, 70, 130}) {
+    for (int trial = 0; trial < 200; ++trial) {
+      BitVec a(n), b(n);
+      for (std::size_t v = 0; v < n; ++v) a.set(v, rng.chance(0.5));
+      b = a;
+      // Mostly near-equal codes, so the first difference lands in any word.
+      const auto flips = rng.below(3);
+      for (std::uint64_t f = 0; f < flips; ++f) b.flip(rng.below(n));
+      EXPECT_EQ(code_less(a, b), a.to_string() < b.to_string()) << "n " << n;
+      EXPECT_EQ(code_less(b, a), b.to_string() < a.to_string()) << "n " << n;
+    }
+  }
+}
+
 TEST(Extract, HandshakeNextStateFunctions) {
   const auto stg = mps::stg::Builder("hs")
                        .inputs({"r"})

@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+#include <string>
+
+#include "benchmarks/benchmarks.hpp"
 #include "benchmarks/generators.hpp"
 #include "sg/assignments.hpp"
+#include "sg/csc.hpp"
 #include "sg/expand.hpp"
 #include "sg/projection.hpp"
 #include "sg/state_graph.hpp"
@@ -104,6 +111,16 @@ TEST(StateGraph, AddSignalExtendsCodes) {
   }
 }
 
+TEST(StateGraph, FindSignalReturnsLowestIdOfAName) {
+  StateGraph g({{"b", true}, {"a", false}, {"b", false}});
+  EXPECT_EQ(g.find_signal("a"), 1u);
+  EXPECT_EQ(g.find_signal("b"), 0u);
+  EXPECT_EQ(g.find_signal("c"), stg::kNoSignal);
+  EXPECT_EQ(g.add_signal({"a", true}), 3u);
+  EXPECT_EQ(g.find_signal("a"), 1u);
+  EXPECT_EQ(g.find_signal(""), stg::kNoSignal);
+}
+
 TEST(StateGraph, ConcurrentPairsCount) {
   // par of two pulses: the fork state enables both.
   const auto stg = mps::benchmarks::gen_parallelizer("p2", 2);
@@ -155,6 +172,28 @@ TEST(Projection, HideNothingIsIsomorphic) {
   const auto proj = sg::hide_signals(g, hide);
   EXPECT_EQ(proj.graph.num_states(), g.num_states());
   EXPECT_EQ(proj.graph.num_edges(), g.num_edges());
+}
+
+TEST(Projection, KeptSignalTableAndNameIndex) {
+  const StateGraph g = StateGraph::from_stg(benchmarks::find_benchmark("mmu0")->make());
+  util::BitVec hide(g.num_signals());
+  for (sg::SignalId s = 0; s < g.num_signals(); s += 2) hide.set(s);
+  auto proj = sg::hide_signals(g, hide);
+  ASSERT_EQ(proj.graph.num_signals(), proj.kept.size());
+  for (sg::SignalId i = 0; i < proj.kept.size(); ++i) {
+    const sg::SignalInfo& info = proj.graph.signal(i);
+    EXPECT_EQ(info.name, g.signal(proj.kept[i]).name);
+    EXPECT_EQ(info.is_input, g.is_input(proj.kept[i]));
+    EXPECT_EQ(proj.graph.input_mask().test(i), info.is_input);
+    EXPECT_EQ(proj.graph.find_signal(info.name), i);
+  }
+  for (sg::SignalId s = 0; s < g.num_signals(); s += 2) {
+    EXPECT_EQ(proj.graph.find_signal(g.signal(s).name), stg::kNoSignal);
+  }
+  // The filtered index stays usable for signals added later.
+  const sg::SignalId added = proj.graph.add_signal({"csc0", false});
+  EXPECT_EQ(proj.graph.find_signal("csc0"), added);
+  EXPECT_EQ(proj.graph.find_signal(proj.graph.signal(0).name), 0u);
 }
 
 TEST(Projection, AssignmentMergeFollowsFigure3) {
@@ -324,6 +363,141 @@ y- p0
 )";
   const StateGraph g = StateGraph::from_stg(stg::parse_g(text));
   EXPECT_FALSE(sg::semi_modularity_violations(g).empty());
+}
+
+// --- packed separation in analyze_csc ------------------------------------
+
+/// True if some state signal separates the pair: the per-signal walk that
+/// analyze_csc's packed stable-value masks replace.
+bool separates_pair(const sg::Assignments& assigns, sg::StateId a, sg::StateId b) {
+  for (std::size_t k = 0; k < assigns.num_signals(); ++k) {
+    if (sg::separates(assigns.value(k, a), assigns.value(k, b))) return true;
+  }
+  return false;
+}
+
+/// The behaviour analyze_csc compares between code-equal states, unpacked.
+std::vector<int> behaviour(const StateGraph& g, const sg::Assignments& assigns, sg::SignalId focus,
+                           sg::StateId s) {
+  std::vector<int> out;
+  if (focus != stg::kNoSignal) {
+    out = {g.excited_dir(s, focus, true), g.excited_dir(s, focus, false)};
+  } else {
+    const util::BitVec excited = g.excited_non_input(s);
+    for (sg::SignalId sig = 0; sig < g.num_signals(); ++sig) out.push_back(excited.test(sig));
+  }
+  for (std::size_t k = 0; k < assigns.num_signals(); ++k) {
+    const V4 v = assigns.value(k, s);
+    out.push_back(v == V4::Up ? 1 : v == V4::Down ? 2 : 0);
+  }
+  return out;
+}
+
+/// Reference CSC analysis built on separates_pair, one pair at a time.
+sg::CscResult reference_csc(const StateGraph& g, const sg::Assignments& assigns,
+                            sg::SignalId focus) {
+  sg::CscResult r;
+  std::map<std::string, std::vector<sg::StateId>> classes;
+  for (sg::StateId s = 0; s < g.num_states(); ++s) classes[g.code(s).to_string()].push_back(s);
+  for (const auto& [code, states] : classes) {
+    const std::size_t k = states.size();
+    if (k < 2) continue;
+    r.num_usc_pairs += k * (k - 1) / 2;
+    r.max_class_size = std::max(r.max_class_size, k);
+    std::set<std::vector<int>> distinct;
+    for (std::size_t i = 0; i < k; ++i) {
+      for (std::size_t j = i + 1; j < k; ++j) {
+        if (separates_pair(assigns, states[i], states[j])) continue;
+        const auto bi = behaviour(g, assigns, focus, states[i]);
+        const auto bj = behaviour(g, assigns, focus, states[j]);
+        if (bi == bj) {
+          r.compatible_pairs.emplace_back(states[i], states[j]);
+        } else {
+          r.conflicts.emplace_back(states[i], states[j]);
+          distinct.insert(bi);
+          distinct.insert(bj);
+        }
+      }
+    }
+    if (!distinct.empty()) r.lower_bound = std::max(r.lower_bound, sg::ceil_log2(distinct.size()));
+  }
+  std::sort(r.conflicts.begin(), r.conflicts.end());
+  std::sort(r.compatible_pairs.begin(), r.compatible_pairs.end());
+  return r;
+}
+
+/// K random four-valued state signals: each signal has a default value and
+/// each state deviates from it at random with probability 1.5/K, so about
+/// half of the code-equal pairs stay unseparated whatever K is.
+sg::Assignments random_assignments(util::Rng& rng, std::size_t num_states, std::size_t k_signals) {
+  sg::Assignments assigns(num_states);
+  const double deviate = 1.5 / static_cast<double>(k_signals);
+  for (std::size_t k = 0; k < k_signals; ++k) {
+    const auto fallback = static_cast<V4>(rng.below(4));
+    std::vector<V4> values(num_states, fallback);
+    for (auto& v : values) {
+      if (rng.chance(deviate)) v = static_cast<V4>(rng.below(4));
+    }
+    assigns.add_signal("n" + std::to_string(k), std::move(values));
+  }
+  return assigns;
+}
+
+TEST(AnalyzeCsc, PackedSeparationMatchesPairwiseReference) {
+  std::vector<StateGraph> graphs;
+  for (const char* name : {"vbe-ex1", "nousc-ser", "mmu0", "sbuf-read-ctl", "alloc-outbound"}) {
+    graphs.push_back(StateGraph::from_stg(benchmarks::find_benchmark(name)->make()));
+  }
+  util::Rng stg_rng(4242);
+  for (int i = 0; i < 6; ++i) {
+    graphs.push_back(StateGraph::from_stg(benchmarks::random_stg(stg_rng)));
+  }
+  util::Rng rng(977);
+  std::size_t separated = 0;
+  std::size_t high_word_only = 0;  // pairs only signals >= 64 separate
+  std::size_t unseparated = 0;
+  for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+    const StateGraph& g = graphs[gi];
+    sg::SignalId output = 0;
+    while (output < g.num_signals() && g.is_input(output)) ++output;
+    for (const std::size_t k_signals : {3, 64, 70}) {
+      const sg::Assignments assigns = random_assignments(rng, g.num_states(), k_signals);
+      for (const sg::SignalId focus : {stg::kNoSignal, output}) {
+        if (focus == g.num_signals()) continue;
+        sg::CscOptions opts;
+        opts.focus_signal = focus;
+        const sg::CscResult got = sg::analyze_csc(g, &assigns, opts);
+        const sg::CscResult want = reference_csc(g, assigns, focus);
+        const std::string where = "graph " + std::to_string(gi) + " K=" + std::to_string(k_signals);
+        EXPECT_EQ(got.conflicts, want.conflicts) << where;
+        EXPECT_EQ(got.compatible_pairs, want.compatible_pairs) << where;
+        EXPECT_EQ(got.lower_bound, want.lower_bound) << where;
+        EXPECT_EQ(got.num_usc_pairs, want.num_usc_pairs) << where;
+        EXPECT_EQ(got.max_class_size, want.max_class_size) << where;
+      }
+      for (const auto& states : sg::code_classes(g)) {
+        for (std::size_t i = 0; i < states.size(); ++i) {
+          for (std::size_t j = i + 1; j < states.size(); ++j) {
+            if (!separates_pair(assigns, states[i], states[j])) {
+              ++unseparated;
+              continue;
+            }
+            ++separated;
+            bool low = false;
+            for (std::size_t k = 0; k < std::min<std::size_t>(k_signals, 64); ++k) {
+              low = low || sg::separates(assigns.value(k, states[i]), assigns.value(k, states[j]));
+            }
+            if (!low) ++high_word_only;
+          }
+        }
+      }
+    }
+  }
+  // The comparison saw both outcomes, and separations that live only in
+  // the second mask word (K = 70).
+  EXPECT_GT(separated, 100u);
+  EXPECT_GT(unseparated, 100u);
+  EXPECT_GT(high_word_only, 0u);
 }
 
 TEST(CodeClasses, GroupsByCode) {
