@@ -94,7 +94,7 @@ void BM_SymbolicReach(benchmark::State& state) {
   }
   state.counters["states"] = states_reached;
 }
-BENCHMARK(BM_SymbolicReach)->Arg(8)->Arg(12);
+BENCHMARK(BM_SymbolicReach)->Arg(8)->Arg(12)->Arg(14);
 
 void BM_ExplicitReach(benchmark::State& state) {
   const int stages = static_cast<int>(state.range(0));

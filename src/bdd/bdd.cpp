@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <utility>
 
 #include "util/common.hpp"
 
@@ -9,6 +11,67 @@ namespace mps::bdd {
 
 namespace {
 constexpr std::uint32_t kTerminalVar = 0xFFFFFFFFu;
+/// First slot count of every table; kept small because verify:: builds one
+/// Manager per checked cover.
+constexpr std::size_t kInitialSlots = 1024;
+
+/// The splitmix64 finalizer: every input bit reaches every output bit, so
+/// a power-of-two mask over the low bits sees the whole key.
+inline std::uint64_t mix64(std::uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ULL;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebULL;
+  x ^= x >> 31;
+  return x;
+}
+
+inline std::uint64_t pack(std::uint32_t hi, std::uint32_t lo) {
+  return std::uint64_t{hi} << 32 | lo;
+}
+
+inline std::uint64_t hash_words(std::uint32_t a, std::uint32_t b, std::uint32_t c,
+                                std::uint32_t d) {
+  return mix64(pack(a, b) + pack(c, d) * 0x9e3779b97f4a7c15ULL);
+}
+}  // namespace
+
+std::size_t Manager::Memo::slot(const Key& key) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = hash_words(key.a, key.b, key.c, key.d) & mask;
+  while (slots_[i].key.a != 0 && !(slots_[i].key == key)) i = (i + 1) & mask;
+  return i;
+}
+
+bool Manager::Memo::find(const Key& key, NodeId* result) const {
+  if (slots_.empty()) return false;
+  const Entry& e = slots_[slot(key)];
+  if (e.key.a == 0) return false;
+  *result = e.result;
+  return true;
+}
+
+bool Manager::Memo::place(const Key& key, NodeId result) {
+  Entry& e = slots_[slot(key)];
+  if (e.key.a != 0) return false;
+  e = Entry{key, result};
+  return true;
+}
+
+void Manager::Memo::insert(const Key& key, NodeId result) {
+  MPS_ASSERT(key.a != 0);
+  if (slots_.empty()) slots_.resize(kInitialSlots);
+  if (!place(key, result)) return;
+  if (2 * ++size_ <= slots_.size()) return;
+  std::vector<Entry> old = std::exchange(slots_, std::vector<Entry>(2 * slots_.size()));
+  for (const Entry& e : old) {
+    if (e.key.a != 0) place(e.key, e.result);
+  }
+}
+
+void Manager::Memo::clear() {
+  std::fill(slots_.begin(), slots_.end(), Entry{});
+  size_ = 0;
 }
 
 Manager::Manager(std::size_t num_vars) : num_vars_(num_vars) {
@@ -18,16 +81,33 @@ Manager::Manager(std::size_t num_vars) : num_vars_(num_vars) {
 
 NodeId Manager::make(std::uint32_t v, NodeId low, NodeId high) {
   if (low == high) return low;  // reduction rule
-  const Key key{v, low, high};
-  if (const auto it = unique_.find(key); it != unique_.end()) return it->second;
+  if (unique_.empty()) unique_.resize(kInitialSlots);
+  const std::size_t mask = unique_.size() - 1;
+  std::size_t i = hash_words(v, low, high, 0) & mask;
+  for (NodeId id; (id = unique_[i]) != 0; i = (i + 1) & mask) {
+    const Node& n = nodes_[id];
+    if (n.var == v && n.low == low && n.high == high) return id;
+  }
   if (max_nodes_ != 0 && nodes_.size() >= max_nodes_) {
     throw util::LimitError("bdd: node budget exceeded (" + std::to_string(max_nodes_) +
                            " nodes)");
   }
   nodes_.push_back({v, low, high});
   const NodeId id = static_cast<NodeId>(nodes_.size() - 1);
-  unique_.emplace(key, id);
+  unique_[i] = id;
+  if (2 * (nodes_.size() - 2) > unique_.size()) rehash_unique(2 * unique_.size());
   return id;
+}
+
+void Manager::rehash_unique(std::size_t slots) {
+  unique_.assign(slots, 0);
+  const std::size_t mask = slots - 1;
+  for (NodeId id = 2; id < nodes_.size(); ++id) {
+    const Node& n = nodes_[id];
+    std::size_t i = hash_words(n.var, n.low, n.high, 0) & mask;
+    while (unique_[i] != 0) i = (i + 1) & mask;
+    unique_[i] = id;
+  }
 }
 
 void Manager::tick_op() {
@@ -63,10 +143,10 @@ NodeId Manager::ite(NodeId f, NodeId g, NodeId h) {
   if (g == h) return g;
   if (g == kTrue && h == kFalse) return f;
 
-  const IteKey key{f, g, h};
-  if (const auto it = ite_cache_.find(key); it != ite_cache_.end()) {
+  const Memo::Key key{f, g, h, 0};
+  if (NodeId hit; ite_cache_.find(key, &hit)) {
     ++stats_.cache_hits;
-    return it->second;
+    return hit;
   }
   ++stats_.cache_misses;
   tick_op();
@@ -79,7 +159,7 @@ NodeId Manager::ite(NodeId f, NodeId g, NodeId h) {
   const NodeId low = ite(cof(f, false), cof(g, false), cof(h, false));
   const NodeId high = ite(cof(f, true), cof(g, true), cof(h, true));
   const NodeId result = make(v, low, high);
-  ite_cache_.emplace(key, result);
+  ite_cache_.insert(key, result);
   return result;
 }
 
@@ -88,17 +168,17 @@ NodeId Manager::restrict(NodeId f, std::uint32_t v, bool value) {
   const Node n = nodes_[f];
   if (n.var > v && n.var != kTerminalVar) return f;   // ordered: v not in support
   if (n.var == v) return value ? n.high : n.low;
-  const OpKey key{(value ? kOpRestrict1 : kOpRestrict0) + 8 * v, f, 0, 0};
-  if (const auto it = op_cache_.find(key); it != op_cache_.end()) {
+  const Memo::Key key{restrict_op(v, value), f, 0, 0};
+  if (NodeId hit; op_cache_.find(key, &hit)) {
     ++stats_.cache_hits;
-    return it->second;
+    return hit;
   }
   ++stats_.cache_misses;
   tick_op();
   const NodeId low = restrict(n.low, v, value);
   const NodeId high = restrict(n.high, v, value);
   const NodeId result = make(n.var, low, high);
-  op_cache_.emplace(key, result);
+  op_cache_.insert(key, result);
   return result;
 }
 
@@ -140,10 +220,10 @@ NodeId Manager::exists_cube(NodeId f, NodeId cube) {
   // Skip quantified variables above f's support: ∃x. f = f when x ∉ support.
   while (cube > kTrue && nodes_[cube].var < n.var) cube = nodes_[cube].high;
   if (cube == kTrue) return f;
-  const OpKey key{kOpExists, f, cube, 0};
-  if (const auto it = op_cache_.find(key); it != op_cache_.end()) {
+  const Memo::Key key{kOpExists, f, cube, 0};
+  if (NodeId hit; op_cache_.find(key, &hit)) {
     ++stats_.cache_hits;
-    return it->second;
+    return hit;
   }
   ++stats_.cache_misses;
   tick_op();
@@ -156,7 +236,7 @@ NodeId Manager::exists_cube(NodeId f, NodeId cube) {
   } else {
     result = make(n.var, exists_cube(n.low, cube), exists_cube(n.high, cube));
   }
-  op_cache_.emplace(key, result);
+  op_cache_.insert(key, result);
   return result;
 }
 
@@ -173,10 +253,10 @@ NodeId Manager::and_exists(NodeId f, NodeId g, NodeId cube) {
   if (cube == kTrue) return bdd_and(f, g);
 
   // The cache key orders the unordered pair {f, g} (∧ is commutative).
-  const OpKey key{kOpAndExists, std::min(f, g), std::max(f, g), cube};
-  if (const auto it = op_cache_.find(key); it != op_cache_.end()) {
+  const Memo::Key key{kOpAndExists, std::min(f, g), std::max(f, g), cube};
+  if (NodeId hit; op_cache_.find(key, &hit)) {
     ++stats_.cache_hits;
-    return it->second;
+    return hit;
   }
   ++stats_.cache_misses;
   tick_op();
@@ -195,16 +275,16 @@ NodeId Manager::and_exists(NodeId f, NodeId g, NodeId cube) {
     result = make(v, and_exists(cof(f, false), cof(g, false), cube),
                   and_exists(cof(f, true), cof(g, true), cube));
   }
-  op_cache_.emplace(key, result);
+  op_cache_.insert(key, result);
   return result;
 }
 
 NodeId Manager::rename_shift_down(NodeId f) {
   if (f <= kTrue) return f;
-  const OpKey key{kOpRename, f, 0, 0};
-  if (const auto it = op_cache_.find(key); it != op_cache_.end()) {
+  const Memo::Key key{kOpRename, f, 0, 0};
+  if (NodeId hit; op_cache_.find(key, &hit)) {
     ++stats_.cache_hits;
-    return it->second;
+    return hit;
   }
   ++stats_.cache_misses;
   tick_op();
@@ -217,7 +297,7 @@ NodeId Manager::rename_shift_down(NodeId f) {
   MPS_ASSERT(low <= kTrue || nodes_[low].var > v);
   MPS_ASSERT(high <= kTrue || nodes_[high].var > v);
   const NodeId result = make(v, low, high);
-  op_cache_.emplace(key, result);
+  op_cache_.insert(key, result);
   return result;
 }
 
@@ -256,10 +336,7 @@ std::size_t Manager::gc(const std::vector<NodeId*>& roots) {
   const std::size_t collected = nodes_.size() - kept.size();
   nodes_ = std::move(kept);
 
-  unique_.clear();
-  for (NodeId id = 2; id < nodes_.size(); ++id) {
-    unique_.emplace(Key{nodes_[id].var, nodes_[id].low, nodes_[id].high}, id);
-  }
+  if (!unique_.empty()) rehash_unique(unique_.size());
   // Every cached result may reference a freed or renumbered node: drop all.
   ite_cache_.clear();
   op_cache_.clear();
@@ -280,12 +357,13 @@ bool Manager::eval(NodeId f, const util::BitVec& assignment) const {
 }
 
 double Manager::sat_count(NodeId f) const {
-  // Memoized count of assignments below each node, scaled by skipped vars.
-  std::unordered_map<NodeId, double> memo;
+  // Memoized count of assignments below each node, scaled by skipped vars;
+  // ids are dense, NaN marks "not counted yet".
+  std::vector<double> memo(nodes_.size(), std::numeric_limits<double>::quiet_NaN());
   auto count = [&](auto&& self, NodeId x) -> double {
     if (x == kFalse) return 0.0;
     if (x == kTrue) return 1.0;
-    if (const auto it = memo.find(x); it != memo.end()) return it->second;
+    if (!std::isnan(memo[x])) return memo[x];
     const Node& n = nodes_[x];
     auto weight = [&](NodeId child) {
       const std::uint32_t child_var =
@@ -293,7 +371,7 @@ double Manager::sat_count(NodeId f) const {
       return std::pow(2.0, static_cast<double>(child_var - n.var - 1));
     };
     const double total = self(self, n.low) * weight(n.low) + self(self, n.high) * weight(n.high);
-    memo.emplace(x, total);
+    memo[x] = total;
     return total;
   };
   const std::uint32_t top = f <= kTrue ? static_cast<std::uint32_t>(num_vars_) : nodes_[f].var;

@@ -4,9 +4,19 @@
 // checking in verify::, and for the symbolic reachability / CSC engine in
 // bdd::SymbolicStg (symbolic.hpp).
 //
-// Classic design: a global-order unique table keyed by (var, low, high),
-// hash-consed nodes addressed by index, complement-free (both terminals
-// are materialized), memoized ITE.  Node 0 = false, node 1 = true.
+// Classic design: hash-consed nodes addressed by index in one global
+// variable order, complement-free (both terminals are materialized),
+// memoized ITE.  Node 0 = false, node 1 = true.
+//
+// The unique table and both memos are flat open-addressing arrays
+// (power-of-two size, linear probing, 64-bit mixer hash, doubled at load
+// 1/2): no heap node per entry, and teardown frees three arrays.  The
+// unique table holds node ids and compares against the node array; slot 0
+// means empty, which is safe because terminals are never inserted.  The
+// memos are lossless (an entry is never evicted), so the sequence of
+// recursion steps, hits, misses and created nodes is the one a plain hash
+// map gives: node ids, results, Stats and the max_ops budget do not depend
+// on table sizes.  No table allocates before its first insertion.
 //
 // Beyond the textbook core the manager carries what image computation
 // needs:
@@ -26,7 +36,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "logic/cover.hpp"
@@ -44,7 +53,6 @@ class Manager {
 
   std::size_t num_vars() const { return num_vars_; }
   std::size_t num_nodes() const { return nodes_.size(); }
-  std::size_t unique_size() const { return unique_.size(); }
 
   NodeId bdd_false() const { return kFalse; }
   NodeId bdd_true() const { return kTrue; }
@@ -139,53 +147,60 @@ class Manager {
   /// Budget bookkeeping for one cache-miss expansion.
   void tick_op();
 
-  struct Key {
-    std::uint32_t var;
-    NodeId low, high;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      return static_cast<std::size_t>(
-          util::hash_combine(util::hash_combine(k.var, k.low), k.high));
-    }
-  };
-  struct IteKey {
-    NodeId f, g, h;
-    bool operator==(const IteKey&) const = default;
-  };
-  struct IteKeyHash {
-    std::size_t operator()(const IteKey& k) const {
-      return static_cast<std::size_t>(util::hash_combine(util::hash_combine(k.f, k.g), k.h));
-    }
-  };
-  /// One cache for every non-ITE operation; `op` packs the opcode with its
-  /// scalar operand (variable+value for restrict), `a`/`b`/`c` hold node
-  /// operands (cubes ride in `c`).
-  struct OpKey {
-    std::uint32_t op;
-    NodeId a, b, c;
-    bool operator==(const OpKey&) const = default;
-  };
-  struct OpKeyHash {
-    std::size_t operator()(const OpKey& k) const {
-      return static_cast<std::size_t>(util::hash_combine(
-          util::hash_combine(util::hash_combine(k.op, k.a), k.b), k.c));
-    }
-  };
   enum OpCode : std::uint32_t {
-    kOpRestrict0 = 1,  // + 4*var
-    kOpRestrict1 = 2,  // + 4*var
+    kOpRestrict0 = 1,
+    kOpRestrict1 = 2,
     kOpExists = 3,
     kOpAndExists = 4,
     kOpRename = 5,
   };
+  /// Restrict's op word packs the opcode with the variable: opcode + 8·v.
+  /// The stride must exceed every opcode, so that the restrict words
+  /// (≡ 1 or 2 mod 8) never equal kOpExists..kOpRename: with a stride of 4,
+  /// restrict-0 on var 1 would be 1 + 4 = kOpRename.
+  static std::uint32_t restrict_op(std::uint32_t v, bool value) {
+    return (value ? kOpRestrict1 : kOpRestrict0) + 8 * v;
+  }
+
+  /// Lossless memo over four-word keys: ITE stores (f, g, h, 0), every
+  /// other operation (op word, a, b, c) with cubes riding in c.  `a == 0`
+  /// marks an empty slot: ITE keys have f > kTrue, op words are ≥ 1.
+  class Memo {
+   public:
+    struct Key {
+      std::uint32_t a, b, c, d;
+      bool operator==(const Key&) const = default;
+    };
+    /// The stored result for `key`, if any.
+    bool find(const Key& key, NodeId* result) const;
+    void insert(const Key& key, NodeId result);
+    /// Drop every entry, keeping the slot array.
+    void clear();
+
+   private:
+    struct Entry {
+      Key key;
+      NodeId result;
+    };
+    /// Index of `key`'s entry, or of the free slot where it would go.
+    std::size_t slot(const Key& key) const;
+    /// Store into `slots_` without a load check; an existing key is kept.
+    bool place(const Key& key, NodeId result);
+
+    std::vector<Entry> slots_;  // power of two (or empty), a == 0 = free
+    std::size_t size_ = 0;
+  };
+
+  /// Rebuild the unique table with `slots` buckets from nodes_[2..].
+  void rehash_unique(std::size_t slots);
 
   std::size_t num_vars_;
   std::vector<Node> nodes_;
-  std::unordered_map<Key, NodeId, KeyHash> unique_;
-  std::unordered_map<IteKey, NodeId, IteKeyHash> ite_cache_;
-  std::unordered_map<OpKey, NodeId, OpKeyHash> op_cache_;
+  /// Buckets of node ids over nodes_ (power of two or empty; 0 = free).
+  /// Every non-terminal node is in it, so its load is num_nodes() - 2.
+  std::vector<NodeId> unique_;
+  Memo ite_cache_;
+  Memo op_cache_;
   std::size_t max_nodes_ = 0;
   std::uint64_t max_ops_ = 0;
   Stats stats_;

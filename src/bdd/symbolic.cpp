@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <unordered_set>
 #include <utility>
 
@@ -319,10 +320,8 @@ NodeId SymbolicStg::reachable() {
   const Manager::Stats after = mgr_.stats();
   span.arg("iterations", static_cast<std::int64_t>(iter));
   span.arg("nodes", static_cast<std::int64_t>(mgr_.num_nodes()));
-  span.arg("unique_size", static_cast<std::int64_t>(mgr_.unique_size()));
   span.arg("gc_runs", static_cast<std::int64_t>(after.gc_runs - before.gc_runs));
   obs::counter_add("bdd.nodes", static_cast<std::int64_t>(mgr_.num_nodes()));
-  obs::counter_add("bdd.unique_size", static_cast<std::int64_t>(mgr_.unique_size()));
   obs::counter_add("bdd.cache_hits",
                    static_cast<std::int64_t>(after.cache_hits - before.cache_hits));
   obs::counter_add("bdd.cache_misses",
@@ -368,23 +367,24 @@ void SymbolicStg::check_safety_and_consistency(NodeId r) {
 double SymbolicStg::count_states(NodeId f) {
   // sat_count restricted to the current (even) variables: positions are
   // var/2 and the total width is num_bits_.  The reached set never mentions
-  // next variables, asserted below.
+  // next variables, asserted below.  Node ids are dense, so the memo is a
+  // vector with NaN for "not counted yet".
   const auto nbits = static_cast<std::uint32_t>(num_bits_);
-  std::unordered_map<NodeId, double> memo;
+  std::vector<double> memo(mgr_.num_nodes(), std::numeric_limits<double>::quiet_NaN());
   auto pos_of = [&](NodeId x) -> std::uint32_t {
     return x <= kTrue ? nbits : mgr_.node(x).var / 2;
   };
   auto count = [&](auto&& self, NodeId x) -> double {
     if (x == kFalse) return 0.0;
     if (x == kTrue) return 1.0;
-    if (const auto it = memo.find(x); it != memo.end()) return it->second;
+    if (!std::isnan(memo[x])) return memo[x];
     const Manager::Node& n = mgr_.node(x);
     MPS_ASSERT((n.var & 1u) == 0);
     const std::uint32_t p = n.var / 2;
     const double total =
         self(self, n.low) * std::pow(2.0, static_cast<double>(pos_of(n.low) - p - 1)) +
         self(self, n.high) * std::pow(2.0, static_cast<double>(pos_of(n.high) - p - 1));
-    memo.emplace(x, total);
+    memo[x] = total;
     return total;
   };
   return count(count, f) * std::pow(2.0, static_cast<double>(pos_of(f)));

@@ -5,6 +5,7 @@
 #include "bdd/bdd.hpp"
 #include "bdd/csc_bdd.hpp"
 #include "bdd/symbolic.hpp"
+#include "benchmarks/generators.hpp"
 #include "core/synthesis.hpp"
 #include "sat/solver.hpp"
 #include "logic/minimize.hpp"
@@ -248,6 +249,104 @@ TEST(BddBudget, OpLimitThrows) {
         mgr.bdd_and(f, g);
       },
       mps::util::LimitError);
+}
+
+/// FNV-1a over every (var, low, high) triple in id order.
+std::uint64_t node_table_hash(const Manager& mgr) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint32_t word) {
+    for (int byte = 0; byte < 4; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xFFu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (NodeId id = 0; id < mgr.num_nodes(); ++id) {
+    const Manager::Node& n = mgr.node(id);
+    mix(n.var);
+    mix(n.low);
+    mix(n.high);
+  }
+  return h;
+}
+
+TEST(BddTables, NodeTableAndStatsArePinned) {
+  // Measured on the manager with node-based hash maps for its unique table
+  // and memos.  The tables' layout must not change which nodes get created,
+  // in which order, or how many recursion steps, hits and misses it takes.
+  struct Pin {
+    const char* name;
+    mps::stg::Stg spec;
+    std::size_t nodes;
+    std::uint64_t hash, ops, hits, misses;
+  };
+  const Pin pins[] = {
+      {"pipeline:10", mps::benchmarks::gen_pipeline("pipe", 10), 126'118,
+       12253331648508400853ULL, 278'305, 33'055, 278'305},
+      {"parallelizer:6", mps::benchmarks::gen_parallelizer("par", 6), 497'249,
+       4587251015541813607ULL, 1'573'075, 240'579, 1'573'075},
+  };
+  for (const Pin& pin : pins) {
+    SymbolicStg sym(pin.spec);
+    sym.reachable();
+    sym.check_csc();
+    const Manager& mgr = sym.manager();
+    EXPECT_EQ(mgr.num_nodes(), pin.nodes) << pin.name;
+    EXPECT_EQ(node_table_hash(mgr), pin.hash) << pin.name;
+    EXPECT_EQ(mgr.stats().ops, pin.ops) << pin.name;
+    EXPECT_EQ(mgr.stats().cache_hits, pin.hits) << pin.name;
+    EXPECT_EQ(mgr.stats().cache_misses, pin.misses) << pin.name;
+  }
+}
+
+/// True iff `f` in `a` and `g` in `b` are the same function.  Reduced
+/// ordered BDDs of one function under one order are isomorphic, so this
+/// walks both graphs in lockstep; `seen` maps visited ids of `a` to `b`.
+bool same_function(const Manager& a, NodeId f, const Manager& b, NodeId g,
+                   std::vector<NodeId>* seen) {
+  if (f <= kTrue || g <= kTrue) return f == g;
+  if ((*seen)[f] != kFalse) return (*seen)[f] == g;
+  const Manager::Node& nf = a.node(f);
+  const Manager::Node& ng = b.node(g);
+  if (nf.var != ng.var || !same_function(a, nf.low, b, ng.low, seen) ||
+      !same_function(a, nf.high, b, ng.high, seen)) {
+    return false;
+  }
+  (*seen)[f] = g;
+  return true;
+}
+
+bool same_function(const Manager& a, NodeId f, const Manager& b, NodeId g) {
+  std::vector<NodeId> seen(a.num_nodes(), kFalse);
+  return same_function(a, f, b, g, &seen);
+}
+
+TEST(BddTables, CanonicalAcrossGc) {
+  const auto spec = mps::benchmarks::gen_pipeline("pipe", 10);
+  SymbolicStg plain(spec);
+  SymbolicOptions opts;
+  opts.gc_node_threshold = 2048;
+  SymbolicStg collected(spec, opts);
+
+  EXPECT_EQ(collected.num_states(), plain.num_states());
+  const CscVerdict want = plain.check_csc();
+  const CscVerdict got = collected.check_csc();
+  EXPECT_EQ(got.holds, want.holds);
+  EXPECT_EQ(got.conflicts, want.conflicts);
+  Manager& mgr = collected.manager();
+  EXPECT_EQ(plain.manager().stats().gc_runs, 0u);
+  EXPECT_GE(mgr.stats().gc_runs, 10u);
+  EXPECT_TRUE(same_function(plain.manager(), plain.reachable(), mgr, collected.reachable()));
+  EXPECT_TRUE(same_function(plain.manager(), plain.code_chi(), mgr, collected.code_chi()));
+
+  // Every surviving triple is found again by a fresh make(), never added a
+  // second time: the rebuilt unique table is complete and duplicate-free.
+  for (std::uint32_t v = 0; v < mgr.num_vars(); ++v) mgr.var(v);
+  const std::size_t nodes = mgr.num_nodes();
+  for (NodeId id = 2; id < nodes; ++id) {
+    const Manager::Node n = mgr.node(id);
+    ASSERT_EQ(mgr.ite(mgr.var(n.var), n.high, n.low), id);
+  }
+  EXPECT_EQ(mgr.num_nodes(), nodes);
 }
 
 TEST(SymbolicStg, ReachableCodesMatchExplicit) {
