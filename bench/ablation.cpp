@@ -2,7 +2,7 @@
 //   1. input-set hiding order (Figure 2 leaves it unspecified),
 //   2. lower-bound seeding of the signal-count loop (Figure 4),
 //   3. input properness (not in the paper's constraint set; see DESIGN.md),
-//   4. WalkSAT front end vs pure DPLL in partition_sat,
+//   4. DPLL vs the BDD characteristic function in partition_sat,
 //   5. naive vs Tseitin separation encoding.
 // Each variant runs the modular flow over a fixed benchmark set and prints
 // inserted signals / final states / area / time.
@@ -85,9 +85,6 @@ int main() {
     std::printf("\n-- SAT back end for the module formulas --\n");
     core::SynthesisOptions dpll;
     report("DPLL only (default)", run(dpll));
-    core::SynthesisOptions walk;
-    walk.sat.use_local_search = true;
-    report("WalkSAT first, DPLL fallback", run(walk));
     core::SynthesisOptions bdd;
     bdd.sat.use_bdd = true;
     report("BDD characteristic function [19]", run(bdd));

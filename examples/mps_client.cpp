@@ -1,4 +1,4 @@
-// mps_client: blocking client for the mps_serve daemon / mps_frontdoor.
+// mps_client: blocking client for the mps_serve daemon.
 //
 //   mps_client --socket PATH | --connect HOST:PORT|PATH
 //              synth FILE.g [--method modular|direct|lavagno]
@@ -9,7 +9,7 @@
 //
 // --timeout-s bounds both the connect and every response wait: a dead or
 // hung server yields a clean error + exit 1 instead of blocking forever.
-// --retries N retries a refused connect with bounded backoff (a worker
+// --retries N retries a refused connect with bounded backoff (a daemon
 // that is restarting).
 //
 // `synth` prints the same report mps_synth prints for the same spec and
@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--threads") {
       const char* v = next();
       if (v == nullptr) return usage();
-      const auto n = util::parse_int(v, 1, 1 << 16);
+      const auto n = util::parse_int(v, 1, svc::kMaxRequestThreads);
       if (!n.has_value()) {
         std::fprintf(stderr, "error: --threads expects a positive integer, got '%s'\n", v);
         return 2;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "bdd/csc_bdd.hpp"
-#include "sat/local_search.hpp"
 #include "util/common.hpp"
 
 namespace mps::core {
@@ -44,9 +43,6 @@ PartitionSatResult partition_sat(const ModuleGraph& module, const std::string& n
       } catch (const util::LimitError&) {
         // BDD blow-up: fall through to the search-based solvers.
       }
-    }
-    if (!sat_found && !bdd_proved_unsat && opts.use_local_search) {
-      sat_found = sat::walksat(enc.cnf(), &model);
     }
     if (!sat_found && !bdd_proved_unsat) {
       sat::SolveStats sstats;

@@ -20,10 +20,10 @@ struct FormulaStat {
   std::size_t num_clauses = 0;
   sat::Outcome outcome = sat::Outcome::Unsat;
   double seconds = 0.0;
-  /// Search effort (zero when the BDD or local-search path solved the
-  /// formula first).  `backtracks` counts chronological backtracks (DPLL)
-  /// or backjumps (CDCL); `conflicts` is the engine-independent effort
-  /// measure the solver totals aggregate.
+  /// Search effort (zero when the BDD path solved the formula first).
+  /// `backtracks` counts chronological backtracks (DPLL) or backjumps
+  /// (CDCL); `conflicts` is the engine-independent effort measure the
+  /// solver totals aggregate.
   std::int64_t backtracks = 0;
   std::int64_t conflicts = 0;
   std::int64_t decisions = 0;
@@ -38,9 +38,6 @@ struct PartitionSatOptions {
   /// a backtrack cap keeps a single module from stalling the flow (the
   /// rescue path then finishes the job on the complete graph).
   sat::SolveOptions solve{.max_backtracks = 150'000, .time_limit_s = 5.0};
-  /// Try WalkSAT before DPLL (Gu-style local search; cannot prove UNSAT,
-  /// so DPLL remains the decision procedure).
-  bool use_local_search = false;
   /// Solve module formulas by BDD characteristic functions first (the
   /// paper's ref. [19] divide-and-conquer follow-up); falls back to DPLL
   /// when the BDD blows past its node cap.

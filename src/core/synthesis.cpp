@@ -303,10 +303,10 @@ std::string options_fingerprint(const SynthesisOptions& opts) {
   // leading version token.  Doubles are rendered with %.17g (round-trip
   // exact), enums as their integer value.
   return util::format(
-      "core-v2;order=%d;input_properness=%d;naive_max_m=%zu;enforce_usc=%d;"
+      "core-v3;order=%d;input_properness=%d;naive_max_m=%zu;enforce_usc=%d;"
       "engine=%d;"
       "max_backtracks=%lld;solve_time_limit_s=%.17g;restart_interval=%lld;seed=%llu;"
-      "use_local_search=%d;use_bdd=%d;max_new_signals=%zu;seed_lower_bound=%d;"
+      "use_bdd=%d;max_new_signals=%zu;seed_lower_bound=%d;"
       "try_exact=%d;exact_max_vars=%zu;exact_max_primes=%zu;exact_max_branch_nodes=%lld;"
       "heuristic_loops=%d;max_states=%zu;require_safe=%d;max_rounds=%d;derive_logic=%d;"
       "round_time_limit_s=%.17g",
@@ -316,9 +316,8 @@ std::string options_fingerprint(const SynthesisOptions& opts) {
       static_cast<long long>(opts.sat.solve.max_backtracks), opts.sat.solve.time_limit_s,
       static_cast<long long>(opts.sat.solve.restart_interval),
       static_cast<unsigned long long>(opts.sat.solve.seed),
-      opts.sat.use_local_search ? 1 : 0, opts.sat.use_bdd ? 1 : 0, opts.sat.max_new_signals,
-      opts.sat.seed_lower_bound ? 1 : 0, opts.minimize.try_exact ? 1 : 0,
-      opts.minimize.exact_max_vars, opts.minimize.exact_max_primes,
+      opts.sat.use_bdd ? 1 : 0, opts.sat.max_new_signals, opts.sat.seed_lower_bound ? 1 : 0,
+      opts.minimize.try_exact ? 1 : 0, opts.minimize.exact_max_vars, opts.minimize.exact_max_primes,
       static_cast<long long>(opts.minimize.exact_max_branch_nodes),
       opts.minimize.heuristic_loops, opts.build.max_states, opts.build.require_safe ? 1 : 0,
       opts.max_rounds, opts.derive_logic ? 1 : 0, opts.round_time_limit_s);

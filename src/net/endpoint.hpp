@@ -1,6 +1,6 @@
 // net::Endpoint — one address type for both transports the service layer
 // speaks: AF_UNIX socket paths and TCP host:port.  Everything above this
-// header (svc::Server, svc::Client, the front door) is transport-agnostic:
+// header (svc::Server, svc::Client) is transport-agnostic:
 // it parses a string into an Endpoint and calls listen_on / connect_to.
 //
 // Textual forms accepted by parse():

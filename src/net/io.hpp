@@ -1,5 +1,5 @@
 // net::io — EINTR-safe, deadline-aware socket I/O primitives shared by the
-// server sessions, the client, and the front door.
+// server sessions and the client.
 //
 // All fds stay in blocking mode; timeouts come from poll()ing before every
 // read/write with the time remaining until the deadline, so a peer that

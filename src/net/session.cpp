@@ -1,6 +1,5 @@
 #include "net/session.hpp"
 
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include "util/common.hpp"
@@ -30,10 +29,6 @@ void Session::close() {
     fd_ = -1;
   }
   state_ = SessionState::Closed;
-}
-
-void Session::shutdown_transport() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
 void Session::advance(SessionState next) {

@@ -79,12 +79,6 @@ class Session {
   int fd() const { return fd_; }
   void close();
 
-  /// Disable further transport I/O (::shutdown(2)) from *any* thread —
-  /// blocked reads/writes in the owning thread wake with EOF/error.  The
-  /// owning thread still closes the fd; safe while the caller holds a
-  /// shared_ptr keeping the session alive (svc::Server::shutdown_hard).
-  void shutdown_transport();
-
  private:
   int fd_;
   SessionLimits limits_;

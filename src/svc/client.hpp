@@ -1,11 +1,10 @@
-// svc::Client — blocking client for the mps_serve / mps_frontdoor NDJSON
-// protocol, over either transport (AF_UNIX path or TCP host:port): one JSON
-// object per request line, one per response line.  Used by
-// examples/mps_client, the front door's worker connections, and the
+// svc::Client — blocking client for the mps_serve NDJSON protocol, over
+// either transport (AF_UNIX path or TCP host:port): one JSON object per
+// request line, one per response line.  Used by examples/mps_client and the
 // concurrency tests.
 //
 // Robustness: connect honours a timeout and retries with bounded
-// exponential backoff (a worker that is restarting is not an instant
+// exponential backoff (a daemon that is restarting is not an instant
 // failure); request() honours a per-request read timeout so a hung or dead
 // peer throws instead of blocking recv forever.
 #pragma once

@@ -2,6 +2,7 @@
 
 #include <csignal>
 #include <cstring>
+#include <memory>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -88,23 +89,6 @@ void Server::request_drain() {
   }
 }
 
-void Server::shutdown_hard() {
-  hard_stop_.store(true);
-  draining_.store(true);
-  if (wake_pipe_[1] >= 0) {
-    const char b = 'K';
-    [[maybe_unused]] ssize_t n = ::write(wake_pipe_[1], &b, 1);
-  }
-  // threads_mutex_ also serializes against run()'s close of listen_fd_:
-  // we must never ::shutdown a fd number the run thread already closed
-  // (it could have been reused by another connection by then).
-  std::lock_guard<std::mutex> lock(threads_mutex_);
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  for (auto& weak : sessions_) {
-    if (auto session = weak.lock()) session->shutdown_transport();
-  }
-}
-
 void Server::run() {
   MPS_ASSERT(listen_fd_ >= 0);  // Server::run before start
   obs::Span span("svc.server.run");
@@ -128,45 +112,36 @@ void Server::run() {
       const int conn = ::accept(listen_fd_, nullptr, nullptr);
       if (conn < 0) {
         if (errno == EINTR || errno == ECONNABORTED) continue;
-        if (hard_stop_.load()) break;
         throw util::Error(util::format("svc: accept: %s", std::strerror(errno)));
       }
       obs::counter_add("svc.server.connections", 1);
       obs::counter_add("net.accepted", 1);
       const net::SessionLimits limits{opts_.max_line_bytes, opts_.frame_timeout_s,
                                       opts_.write_timeout_s};
-      auto session = std::make_shared<net::Session>(conn, limits);
+      auto session = std::make_unique<net::Session>(conn, limits);
       std::lock_guard<std::mutex> lock(threads_mutex_);
-      sessions_.push_back(session);
-      connections_.emplace_back(
-          [this, s = std::move(session)]() mutable { connection_loop(std::move(s)); });
+      connections_.emplace_back([this, s = std::move(session)] { connection_loop(*s); });
     }
   }
 
   // Drain: stop accepting immediately, then let every connection thread
   // finish the requests it already read (the scheduler completes all
-  // admitted jobs, so blocked waiters get their responses).  The close is
-  // under threads_mutex_ so a concurrent shutdown_hard() either sees the
-  // live fd or -1, never a closed (possibly reused) fd number.
-  {
-    std::lock_guard<std::mutex> lock(threads_mutex_);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  // admitted jobs, so blocked waiters get their responses).
+  ::close(listen_fd_);
+  listen_fd_ = -1;
   for (;;) {
     std::vector<std::thread> batch;
     {
       std::lock_guard<std::mutex> lock(threads_mutex_);
       batch.swap(connections_);
-      sessions_.clear();
     }
     if (batch.empty()) break;
     for (auto& t : batch) t.join();
   }
-  if (!hard_stop_.load()) service_.drain();
+  service_.drain();
 }
 
-void Server::connection_loop(std::shared_ptr<net::Session> session) {
+void Server::connection_loop(net::Session& session) {
   obs::set_thread_name("svc-conn");
 
   // Handle one received frame; returns false when the session must close.
@@ -174,20 +149,20 @@ void Server::connection_loop(std::shared_ptr<net::Session> session) {
     obs::Span span("net.request");
     obs::counter_add("net.requests", 1);
     const std::string response = service_.handle_line(line);
-    if (session->write_line(response) != net::IoStatus::Ok) return false;
+    if (session.write_line(response) != net::IoStatus::Ok) return false;
     // First answered request completes the handshake (explicit version op
     // or the PR-5 implicit form — see net/session.hpp).
-    session->advance(net::SessionState::Streaming);
+    session.advance(net::SessionState::Streaming);
     if (service_.drain_requested()) request_drain();
     return true;
   };
 
   bool open = true;
-  while (open && !hard_stop_.load()) {
+  while (open) {
     std::string line;
     // Short idle slices so the thread notices a drain triggered elsewhere
     // (signal, another connection's drain request).
-    switch (session->read_line(&line, net::Deadline::after(0.2))) {
+    switch (session.read_line(&line, net::Deadline::after(0.2))) {
       case net::Session::Read::Line:
         open = handle(line);
         break;
@@ -195,14 +170,14 @@ void Server::connection_loop(std::shared_ptr<net::Session> session) {
         break;
       case net::Session::Read::Oversized:
         obs::counter_add("net.oversized", 1);
-        session->write_line(protocol_error(
+        session.write_line(protocol_error(
             "", "bad_request",
             util::format("request line exceeds %zu bytes", opts_.max_line_bytes)));
         open = false;
         break;
       case net::Session::Read::FrameTimeout:
         obs::counter_add("net.frame_timeout", 1);
-        session->write_line(protocol_error(
+        session.write_line(protocol_error(
             "", "bad_request",
             util::format("frame incomplete after %.1f s", opts_.frame_timeout_s)));
         open = false;
@@ -212,12 +187,12 @@ void Server::connection_loop(std::shared_ptr<net::Session> session) {
         open = false;
         break;
     }
-    if (open && draining_.load() && !hard_stop_.load()) {
+    if (open && draining_.load()) {
       // Final scoop: answer any requests whose lines already arrived, then
       // close.  New data after this point is the client's race to lose.
-      session->advance(net::SessionState::Draining);
+      session.advance(net::SessionState::Draining);
       for (;;) {
-        const auto st = session->read_line(&line, net::Deadline::after(0.001));
+        const auto st = session.read_line(&line, net::Deadline::after(0.001));
         if (st == net::Session::Read::Line) {
           if (!handle(line)) break;
           continue;
@@ -227,8 +202,7 @@ void Server::connection_loop(std::shared_ptr<net::Session> session) {
       open = false;
     }
   }
-  // The session's destructor (this thread owns the last reference once the
-  // server's weak_ptr expires) closes the fd.
+  // The session's destructor closes the fd when this thread's closure ends.
 }
 
 }  // namespace mps::svc

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <atomic>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -74,12 +73,6 @@ class Server {
   /// handler invokes via the self-pipe (the handler itself only write()s).
   void request_drain();
 
-  /// Abrupt stop for failure-injection tests: close the listen socket and
-  /// shut down every live session's transport without answering anything
-  /// in flight, making run() return as fast as possible.  Looks exactly
-  /// like a crashed worker to peers (mid-request EOF / reset).
-  void shutdown_hard();
-
   /// Route SIGTERM and SIGINT to request_drain() for this instance (at most
   /// one instance per process may install handlers).
   void install_signal_handlers();
@@ -90,7 +83,7 @@ class Server {
   const net::Endpoint& bound_endpoint() const { return bound_; }
 
  private:
-  void connection_loop(std::shared_ptr<net::Session> session);
+  void connection_loop(net::Session& session);
 
   ServerOptions opts_;
   Service service_;
@@ -99,11 +92,8 @@ class Server {
   int listen_fd_ = -1;
   int wake_pipe_[2] = {-1, -1};
   std::atomic<bool> draining_{false};
-  std::atomic<bool> hard_stop_{false};
   std::mutex threads_mutex_;
   std::vector<std::thread> connections_;
-  /// Live sessions, for shutdown_hard()'s transport teardown.
-  std::vector<std::weak_ptr<net::Session>> sessions_;
 };
 
 }  // namespace mps::svc

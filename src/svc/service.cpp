@@ -1,5 +1,7 @@
 #include "svc/service.hpp"
 
+#include <cmath>
+
 #include "obs/obs.hpp"
 #include "stg/parser.hpp"
 #include "svc/artifact.hpp"
@@ -40,6 +42,23 @@ std::optional<SynthRequest> parse_synth_request(const Json& req, std::string* er
     return std::nullopt;
   }
 
+  // Range-check as doubles before any integer or clock conversion: a wire
+  // value like -1 or 1e300 must never reach the thread pool or the clock.
+  const double threads = req.get_double("threads", 1.0);
+  if (!(threads >= 1.0 && threads <= kMaxRequestThreads && threads == std::floor(threads))) {
+    *error_line = protocol_error(
+        "synth", "bad_request",
+        util::format("threads must be an integer in 1..%d", kMaxRequestThreads));
+    return std::nullopt;
+  }
+  const double deadline_s = req.get_double("deadline_s", 0.0);
+  if (!(deadline_s >= 0.0 && deadline_s <= kMaxDeadlineS)) {
+    *error_line = protocol_error(
+        "synth", "bad_request",
+        util::format("deadline_s must be in 0..%.0f seconds (0 = none)", kMaxDeadlineS));
+    return std::nullopt;
+  }
+
   SynthRequest out;
   try {
     out.spec = stg::parse_g(g_text->as_string());
@@ -48,8 +67,8 @@ std::optional<SynthRequest> parse_synth_request(const Json& req, std::string* er
     return std::nullopt;
   }
   out.options = default_request_options(method);
-  out.options.threads = static_cast<unsigned>(req.get_int("threads", 1));
-  out.options.deadline_s = req.get_double("deadline_s", 0.0);
+  out.options.threads = static_cast<unsigned>(threads);
+  out.options.deadline_s = deadline_s;
   set_engine(&out.options, *engine);
   out.digest = request_digest(out.spec, out.options);
   return out;

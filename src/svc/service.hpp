@@ -42,16 +42,21 @@ namespace mps::svc {
 /// NDJSON protocol version; bump on incompatible wire changes.
 constexpr std::int64_t kProtocolVersion = 1;
 
+/// Accepted range of a synth request's "threads" (1..kMaxRequestThreads)
+/// and "deadline_s" (0..kMaxDeadlineS, 0 = none; the cap keeps the deadline
+/// representable on the steady clock).  Anything else is kind:"bad_request".
+constexpr int kMaxRequestThreads = 1 << 16;
+constexpr double kMaxDeadlineS = 1e9;
+
 /// One protocol error line: {"ok":false,"op":op,"kind":kind,"error":msg}.
-/// Shared by Service, the transport loops (oversized frames), and the front
-/// door, so every error a client can see has the same shape.
+/// Shared by Service and the transport loop (oversized frames), so every
+/// error a client can see has the same shape.
 std::string protocol_error(const std::string& op, const std::string& kind,
                            const std::string& message);
 
 /// A validated synth request: the parsed spec, the full request options and
-/// the routing/cache digest.  parse_synth_request() is the one place the
-/// wire fields (g/method/engine/threads/deadline_s) are interpreted —
-/// Service executes the result locally, the front door routes on `digest`.
+/// the cache digest.  parse_synth_request() is the one place the wire
+/// fields (g/method/engine/threads/deadline_s) are interpreted.
 struct SynthRequest {
   stg::Stg spec;
   RequestOptions options;

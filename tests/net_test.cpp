@@ -1,19 +1,15 @@
 // Unit tests for the network layer (src/net/): endpoint parsing and
-// ephemeral-port binding, digest-prefix sharding and the worker table's
-// failover/backoff policy, the NDJSON session state machine over real
-// socketpairs, and the wire protocol failure modes over real TCP sockets
-// (malformed frames, oversized frames, truncated frames, version handshake
-// mismatch, client timeouts, bounded reconnect).
+// ephemeral-port binding, the NDJSON session state machine over real
+// socketpairs, and the wire protocol failure modes against a real daemon
+// over TCP (malformed frames, oversized frames, truncated frames, version
+// handshake mismatch, client timeouts, bounded reconnect).
 //
 // Port-collision safety: every TCP test binds 127.0.0.1:0 and reads the
 // kernel-assigned port back via net::bound_endpoint(), so the suite is safe
 // under `ctest -j` with any number of concurrent TCP tests.
-#include <atomic>
 #include <chrono>
-#include <cstring>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -99,119 +95,6 @@ TEST(NetEndpoint, EphemeralPortsAreDistinctAndResolved) {
   EXPECT_EQ(a.host, "127.0.0.1");
   ::close(fd_a);
   ::close(fd_b);
-}
-
-// ---------------------------------------------------------------------------
-// Sharding + worker table
-
-TEST(NetShard, IsDeterministicAndInRange) {
-  const std::string digest = "f00dfeed0123456789abcdef0123456789abcdef0123456789abcdef01234567";
-  for (std::size_t n : {1u, 2u, 3u, 7u, 64u}) {
-    const std::size_t s = net::shard_of(digest, n);
-    EXPECT_LT(s, n);
-    EXPECT_EQ(s, net::shard_of(digest, n)) << "same digest, same shard";
-  }
-  // The first 32 bits (8 hex chars) decide the shard, nothing after them.
-  EXPECT_EQ(net::shard_of("00000005ffffffff", 4), 5u % 4u);
-  EXPECT_EQ(net::shard_of("00000005deadbeef", 4), 5u % 4u);
-  EXPECT_EQ(net::shard_of("0000000A00000000", 16), 10u) << "upper-case hex";
-}
-
-TEST(NetShard, PrefixesSpreadAcrossShards) {
-  // SHA-256 prefixes are uniform; even a crude spread of synthetic prefixes
-  // must touch every shard of a small fleet.
-  std::vector<int> hits(4, 0);
-  for (std::uint32_t i = 0; i < 64; ++i) {
-    char buf[16];
-    std::snprintf(buf, sizeof buf, "%08x", i * 2654435761u);
-    hits[net::shard_of(buf, hits.size())]++;
-  }
-  for (std::size_t s = 0; s < hits.size(); ++s) {
-    EXPECT_GT(hits[s], 0) << "shard " << s << " never hit";
-  }
-}
-
-TEST(NetShard, WorkerTablePrefersTheShardOwner) {
-  net::WorkerTable table({Endpoint::tcp("127.0.0.1", 1), Endpoint::tcp("127.0.0.1", 2)},
-                         {});
-  // Pick digests owned by each worker.
-  const std::string d0 = "00000000aaaaaaaa";  // 0 % 2 == 0
-  const std::string d1 = "00000001aaaaaaaa";  // 1 % 2 == 1
-  ASSERT_EQ(table.owner(d0), 0u);
-  ASSERT_EQ(table.owner(d1), 1u);
-
-  bool was_owner = false;
-  EXPECT_EQ(table.pick(d0, 0, &was_owner), 0u);
-  EXPECT_TRUE(was_owner);
-  EXPECT_EQ(table.pick(d1, 0, &was_owner), 1u);
-  EXPECT_TRUE(was_owner);
-}
-
-TEST(NetShard, PickFallsBackWhenOwnerTriedOrBackingOff) {
-  net::WorkerBackoff backoff;
-  backoff.base_s = 60.0;  // one failure parks the worker for the whole test
-  backoff.max_s = 60.0;
-  net::WorkerTable table({Endpoint::tcp("127.0.0.1", 1), Endpoint::tcp("127.0.0.1", 2)},
-                         backoff);
-  const std::string d0 = "00000000aaaaaaaa";  // owner: worker 0
-
-  // Owner already tried this request -> the sibling.
-  bool was_owner = true;
-  EXPECT_EQ(table.pick(d0, /*tried_mask=*/1ull << 0, &was_owner), 1u);
-  EXPECT_FALSE(was_owner);
-  // Every worker tried -> size() (give up).
-  EXPECT_EQ(table.pick(d0, 0b11, &was_owner), table.size());
-
-  // Owner backing off -> fallback; after report_success it owns again.
-  table.report_failure(0);
-  EXPECT_FALSE(table.available(0));
-  EXPECT_EQ(table.pick(d0, 0, &was_owner), 1u);
-  EXPECT_FALSE(was_owner);
-  table.report_success(0);
-  EXPECT_TRUE(table.available(0));
-  EXPECT_EQ(table.pick(d0, 0, &was_owner), 0u);
-  EXPECT_TRUE(was_owner);
-}
-
-TEST(NetShard, PickNeverAbandonsTheLastUntriedWorker) {
-  // Both workers backing off: a request with untried workers left must still
-  // get one (backoff sheds load, it must not fabricate failures).
-  net::WorkerBackoff backoff;
-  backoff.base_s = 60.0;
-  backoff.max_s = 60.0;
-  net::WorkerTable table({Endpoint::tcp("127.0.0.1", 1), Endpoint::tcp("127.0.0.1", 2)},
-                         backoff);
-  table.report_failure(0);
-  table.report_failure(1);
-  bool was_owner = false;
-  const std::size_t pick = table.pick("00000000aaaaaaaa", 0, &was_owner);
-  EXPECT_LT(pick, table.size());
-}
-
-TEST(NetShard, BackoffExpiresAndIsBounded) {
-  net::WorkerBackoff backoff;
-  backoff.base_s = 0.01;
-  backoff.max_s = 0.03;
-  net::WorkerTable table({Endpoint::tcp("127.0.0.1", 1)}, backoff);
-  for (int i = 0; i < 10; ++i) table.report_failure(0);  // streak way past the cap
-  EXPECT_FALSE(table.available(0));
-  // The cap bounds the wait: well within 10x max_s the worker is retryable.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  EXPECT_TRUE(table.available(0)) << "backoff must be capped at max_s";
-  EXPECT_EQ(table.failures(0), 10);
-}
-
-TEST(NetShard, LeastLoadedBreaksFallbackTies) {
-  net::WorkerTable table({Endpoint::tcp("127.0.0.1", 1), Endpoint::tcp("127.0.0.1", 2),
-                          Endpoint::tcp("127.0.0.1", 3)},
-                         {});
-  const std::string d0 = "00000000aaaaaaaa";  // owner: worker 0
-  table.begin_request(1);  // worker 1 busier than worker 2
-  bool was_owner = true;
-  EXPECT_EQ(table.pick(d0, /*tried_mask=*/1ull << 0, &was_owner), 2u)
-      << "fallback must go to the least-loaded untried worker";
-  EXPECT_FALSE(was_owner);
-  table.end_request(1);
 }
 
 // ---------------------------------------------------------------------------

@@ -586,6 +586,67 @@ TEST(SvcService, SynthCarriesTheEngineSelector) {
   EXPECT_NE(bad.get_string("error", "").find("engine"), std::string::npos) << bad.dump();
 }
 
+// A synth request with `field` set to `value`, parsed but never run: these
+// tests must not start a thread pool or a synthesis for a rejected value.
+std::optional<svc::SynthRequest> parse_with(const char* field, svc::Json value,
+                                            std::string* error_line) {
+  svc::Json req = svc::Json::object();
+  req.set("op", "synth");
+  req.set("g", stg::write_g(tiny_spec()));
+  req.set(field, std::move(value));
+  return svc::parse_synth_request(req, error_line);
+}
+
+void expect_bad_request(const char* field, svc::Json value) {
+  const std::string shown = value.dump();
+  std::string error_line;
+  const auto parsed = parse_with(field, std::move(value), &error_line);
+  EXPECT_FALSE(parsed.has_value()) << field << "=" << shown << " was accepted";
+  if (parsed.has_value()) return;
+  const svc::Json err = svc::Json::parse(error_line);
+  EXPECT_EQ(err.get_string("kind", ""), "bad_request") << error_line;
+  EXPECT_NE(err.get_string("error", "").find(field), std::string::npos) << error_line;
+}
+
+TEST(SvcService, SynthRejectsThreadsOutsideTheClientRange) {
+  // mps_client --threads accepts 1..65536; the wire must not be wider: -1
+  // would ask the pool for ~4.29e9 threads and 0 would mean "all cores".
+  expect_bad_request("threads", svc::Json(-1));
+  expect_bad_request("threads", svc::Json(0));
+  expect_bad_request("threads", svc::Json(65537));
+
+  std::string error_line;
+  for (const int n : {1, 4, 65536}) {
+    const auto parsed = parse_with("threads", svc::Json(n), &error_line);
+    ASSERT_TRUE(parsed.has_value()) << n << ": " << error_line;
+    EXPECT_EQ(parsed->options.threads, static_cast<unsigned>(n));
+  }
+}
+
+TEST(SvcService, SynthRejectsNonIntegralAndHugeThreads) {
+  // Neither may reach Json::as_int: 2.5 trips its integrality assert (an
+  // abort of the whole daemon) and 1e300 is an out-of-range double->int cast.
+  expect_bad_request("threads", svc::Json(2.5));
+  expect_bad_request("threads", svc::Json(1e300));
+}
+
+TEST(SvcService, SynthRejectsUnrepresentableDeadlines) {
+  // deadline_s becomes a steady_clock offset: negative, non-finite or huge
+  // values (1e300 s overflows the nanosecond clock) are bad requests.
+  expect_bad_request("deadline_s", svc::Json(-1.0));
+  expect_bad_request("deadline_s", svc::Json(1e300));
+  expect_bad_request("deadline_s", svc::Json(2e9));
+  expect_bad_request("deadline_s", svc::Json(std::numeric_limits<double>::infinity()));
+  expect_bad_request("deadline_s", svc::Json(std::numeric_limits<double>::quiet_NaN()));
+
+  std::string error_line;
+  for (const double s : {0.0, 2.5, 1e9}) {
+    const auto parsed = parse_with("deadline_s", svc::Json(s), &error_line);
+    ASSERT_TRUE(parsed.has_value()) << s << ": " << error_line;
+    EXPECT_EQ(parsed->options.deadline_s, s);
+  }
+}
+
 TEST(SvcService, DrainOpSetsTheFlag) {
   svc::Service service(fast_service_options());
   EXPECT_FALSE(service.drain_requested());
