@@ -56,7 +56,7 @@ int main() {
 
   {
     std::printf("-- input-set hiding order (Fig. 2 greedy) --\n");
-    for (const auto [order, label] :
+    for (const auto& [order, label] :
          {std::pair{core::InputSetOptions::Order::SignalId, "signal-id order (default)"},
           std::pair{core::InputSetOptions::Order::FewestEdgesFirst, "fewest-edges first"},
           std::pair{core::InputSetOptions::Order::MostEdgesFirst, "most-edges first"}}) {

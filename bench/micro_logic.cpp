@@ -55,8 +55,9 @@ logic::SopSpec largest_extracted_function(const stg::Stg& spec) {
   return best;
 }
 
-/// Real sizes: pipeline:5 (17 variables, thousands of OFF minterms) and
-/// sequencer:24 (75 variables, two-word cubes).
+/// Real sizes: pipeline:5 (17 variables, thousands of OFF minterms),
+/// pipeline:6 (about 4,500 final states) and sequencer:24 (75 variables,
+/// two-word cubes).
 void BM_HeuristicMinimizeExtracted(benchmark::State& state, const char* family, int n) {
   const std::string name = family + std::to_string(n);
   const auto spec = largest_extracted_function(
@@ -76,6 +77,8 @@ void BM_HeuristicMinimizeExtracted(benchmark::State& state, const char* family, 
 }
 BENCHMARK_CAPTURE(BM_HeuristicMinimizeExtracted, pipeline5, "pipeline", 5)
     ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_HeuristicMinimizeExtracted, pipeline6, "pipeline", 6)
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_HeuristicMinimizeExtracted, sequencer24, "sequencer", 24)
     ->Unit(benchmark::kMillisecond);
 
@@ -87,6 +90,37 @@ void BM_ExactMinimize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExactMinimize)->Arg(6)->Arg(8)->Arg(10);
+
+/// The exact path on what it meets in Table 1: every next-state function
+/// of vbe4a and sbuf-send-pkt2 (default synthesis options) with at most
+/// exact_max_vars variables.
+void BM_ExactMinimizeExtracted(benchmark::State& state) {
+  const logic::MinimizeOptions mopts;
+  std::vector<logic::SopSpec> functions;
+  for (const char* name : {"vbe4a", "sbuf-send-pkt2"}) {
+    core::SynthesisOptions opts;
+    opts.derive_logic = false;
+    const auto r =
+        core::modular_synthesis(sg::StateGraph::from_stg(benchmarks::find_benchmark(name)->make()),
+                                opts);
+    if (!r.success) {
+      state.SkipWithError("synthesis failed");
+      return;
+    }
+    for (sg::SignalId s = 0; s < r.final_graph.num_signals(); ++s) {
+      if (r.final_graph.is_input(s)) continue;
+      auto f = logic::extract_next_state(r.final_graph, s);
+      if (f.num_vars <= mopts.exact_max_vars) functions.push_back(std::move(f));
+    }
+  }
+  state.counters["functions"] = static_cast<double>(functions.size());
+  for (auto _ : state) {
+    for (const logic::SopSpec& f : functions) {
+      benchmark::DoNotOptimize(logic::exact_minimize(f, mopts).has_value());
+    }
+  }
+}
+BENCHMARK(BM_ExactMinimizeExtracted)->Unit(benchmark::kMillisecond);
 
 void BM_ExtractNextState(benchmark::State& state) {
   const auto g =

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "obs/obs.hpp"
 #include "util/common.hpp"
 
 namespace mps::logic {
@@ -24,6 +25,7 @@ bool code_less(const util::BitVec& a, const util::BitVec& b) {
 
 SopSpec extract_next_state(const sg::StateGraph& g, sg::SignalId s) {
   MPS_ASSERT(!g.is_input(s));
+  obs::Span span("logic.extract", g.signal(s).name);
   SopSpec spec;
   spec.num_vars = g.num_signals();
 
@@ -43,6 +45,9 @@ SopSpec extract_next_state(const sg::StateGraph& g, sg::SignalId s) {
   // Deterministic order (hash maps iterate arbitrarily).
   std::sort(spec.on.begin(), spec.on.end(), code_less);
   std::sort(spec.off.begin(), spec.off.end(), code_less);
+  span.arg("states", static_cast<std::int64_t>(g.num_states()));
+  span.arg("on", static_cast<std::int64_t>(spec.on.size()));
+  span.arg("off", static_cast<std::int64_t>(spec.off.size()));
   return spec;
 }
 

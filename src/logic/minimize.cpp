@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <unordered_map>
-#include <unordered_set>
 
+#include "obs/obs.hpp"
 #include "util/common.hpp"
 
 namespace mps::logic {
@@ -110,54 +109,125 @@ class CubeList {
   std::vector<std::uint64_t> words_;
 };
 
-/// Does the cube contain any of the packed codes?
-bool hits_any(const std::uint64_t* care, const std::uint64_t* value,
-              const std::vector<std::uint64_t>& codes, std::size_t w) {
-  if (w == 1) {  // the common case, kept free of the inner word loop
-    const std::uint64_t c = care[0];
-    const std::uint64_t v = value[0];
-    for (const std::uint64_t code : codes) {
-      if (((code ^ v) & c) == 0) return true;
+/// The OFF-set held as columns: bit i of column v is variable v of OFF code
+/// i, over ceil(|OFF|/64) words.  A literal's column is the variable's
+/// column (positive literal) or its complement (negative), taken on the
+/// fly.  A cube contains OFF code i iff bit i is set in the AND of its
+/// literals' columns; every such AND starts from `valid()`, which clears
+/// the unused bits of the last word.
+class OffColumns {
+ public:
+  OffColumns(const std::vector<util::BitVec>& off, std::size_t num_vars)
+      : words_((off.size() + 63) / 64),
+        bits_(num_vars * words_, 0),
+        valid_(words_, ~std::uint64_t{0}) {
+    for (std::size_t i = 0; i < off.size(); ++i) {
+      MPS_ASSERT(off[i].size() == num_vars);
+      const std::uint64_t bit = std::uint64_t{1} << (i & 63);
+      for (std::size_t k = 0; k < off[i].num_words(); ++k) {
+        for (std::uint64_t x = off[i].word(k); x != 0; x &= x - 1) {
+          const std::size_t v = 64 * k + static_cast<std::size_t>(std::countr_zero(x));
+          bits_[v * words_ + (i >> 6)] |= bit;
+        }
+      }
     }
-    return false;
+    if (off.size() % 64 != 0) valid_.back() = (std::uint64_t{1} << (off.size() % 64)) - 1;
   }
-  for (std::size_t base = 0; base < codes.size(); base += w) {
-    if (cube_contains_code(care, value, &codes[base], w)) return true;
+
+  std::size_t words() const { return words_; }
+  const std::uint64_t* valid() const { return valid_.data(); }
+
+  /// out = in & column of the literal (v, polarity), word by word; true
+  /// iff some bit of out is set.
+  bool and_literal(std::uint64_t* out, const std::uint64_t* in, std::size_t v,
+                   bool polarity) const {
+    const std::uint64_t* col = bits_.data() + v * words_;
+    const std::uint64_t flip = polarity ? 0 : ~std::uint64_t{0};
+    std::uint64_t any = 0;
+    for (std::size_t k = 0; k < words_; ++k) {
+      out[k] = in[k] & (col[k] ^ flip);
+      any |= out[k];
+    }
+    return any != 0;
   }
-  return false;
-}
+
+ private:
+  std::size_t words_;
+  std::vector<std::uint64_t> bits_;   ///< num_vars columns of words_ words
+  std::vector<std::uint64_t> valid_;  ///< the OFF codes that exist
+};
+
+/// Buffers reused across the cubes of one EXPAND pass.
+struct ExpandScratch {
+  std::vector<std::size_t> lits;      ///< the cube's literals, in variable order
+  std::vector<std::uint64_t> suffix;  ///< row k: AND of the columns of lits[k..]
+  std::vector<std::uint64_t> kept;    ///< AND of the columns of the literals kept so far
+};
 
 /// Expand: free literals in the given variable order while the cube stays
-/// disjoint from OFF.  Each literal is cleared in place and put back if the
-/// widened cube hits OFF.  Produces a prime cube.
-void expand_cube(std::uint64_t* care, std::uint64_t* value, const std::vector<std::uint64_t>& off,
-                 std::size_t w, const std::vector<std::size_t>& var_order) {
+/// disjoint from OFF.  Produces a prime cube.  Freeing lits[k] hits OFF iff
+/// the AND of every other literal's column is nonzero; those literals are
+/// the kept ones before k and all of lits[k+1..], so each test ANDs the
+/// running `kept` columns with suffix row k+1.  Rows only lose bits as k
+/// falls: below the first zero row they are all zero, and the literals
+/// there are freed without a test.  Returns the column words ANDed.
+std::int64_t expand_cube(std::uint64_t* care, std::uint64_t* value, const OffColumns& off,
+                         const std::vector<std::size_t>& var_order, ExpandScratch& s) {
+  const std::size_t nw = off.words();
+  s.lits.clear();
   for (const std::size_t v : var_order) {
-    const std::size_t k = v >> 6;
-    const std::uint64_t bit = std::uint64_t{1} << (v & 63);
-    if (!(care[k] & bit)) continue;
-    const std::uint64_t polarity = value[k] & bit;
-    care[k] &= ~bit;
-    value[k] &= ~bit;
-    if (hits_any(care, value, off, w)) {
-      care[k] |= bit;
-      value[k] |= polarity;
+    if ((care[v >> 6] >> (v & 63)) & 1) s.lits.push_back(v);
+  }
+  const auto polarity = [&](std::size_t v) { return ((value[v >> 6] >> (v & 63)) & 1) != 0; };
+  const std::size_t m = s.lits.size();
+  s.suffix.resize((m + 1) * nw);
+  std::uint64_t* rows = s.suffix.data();  // may be empty: |OFF| = 0 gives nw = 0
+  std::copy(off.valid(), off.valid() + nw, rows + m * nw);
+  std::int64_t words = 0;
+  std::size_t zero_rows = 0;  // rows 0 .. zero_rows-1 are zero
+  for (std::size_t k = m; k-- > 0;) {
+    words += static_cast<std::int64_t>(nw);
+    if (!off.and_literal(rows + k * nw, rows + (k + 1) * nw, s.lits[k], polarity(s.lits[k]))) {
+      zero_rows = k + 1;
+      break;
     }
   }
+  s.kept.assign(off.valid(), off.valid() + nw);
+  for (std::size_t k = 0; k < m; ++k) {
+    const std::size_t v = s.lits[k];
+    bool hit = false;
+    if (k + 1 >= zero_rows) {
+      const std::uint64_t* rest = rows + (k + 1) * nw;
+      std::size_t w = 0;
+      while (w < nw && (s.kept[w] & rest[w]) == 0) ++w;
+      words += static_cast<std::int64_t>(std::min(w + 1, nw));
+      hit = w < nw;
+    }
+    if (hit) {  // the widened cube would hit OFF: keep the literal
+      off.and_literal(s.kept.data(), s.kept.data(), v, polarity(v));
+      words += static_cast<std::int64_t>(nw);
+    } else {
+      const std::uint64_t bit = std::uint64_t{1} << (v & 63);
+      care[v >> 6] &= ~bit;
+      value[v >> 6] &= ~bit;
+    }
+  }
+  return words;
 }
 
 /// Expand every cube of `cover`; a prime already contained in an earlier
 /// prime is skipped, and primes contained in a later one are dropped (among
-/// equal cubes the first is kept).
-CubeList expand(const CubeList& cover, const std::vector<std::uint64_t>& off, std::size_t w,
-                const std::vector<std::size_t>& var_order) {
+/// equal cubes the first is kept).  Adds the column words ANDed to `words`.
+CubeList expand(const CubeList& cover, const OffColumns& off, std::size_t w,
+                const std::vector<std::size_t>& var_order, std::int64_t* words) {
   CubeList primes(w);
-  std::vector<std::uint64_t> scratch(2 * w);
+  std::vector<std::uint64_t> cube(2 * w);
+  ExpandScratch scratch;
   for (std::size_t i = 0; i < cover.size(); ++i) {
-    std::copy(cover.care(i), cover.care(i) + 2 * w, scratch.begin());
-    std::uint64_t* care = scratch.data();
+    std::copy(cover.care(i), cover.care(i) + 2 * w, cube.begin());
+    std::uint64_t* care = cube.data();
     std::uint64_t* value = care + w;
-    expand_cube(care, value, off, w, var_order);
+    *words += expand_cube(care, value, off, var_order, scratch);
     bool contained = false;
     for (std::size_t e = 0; e < primes.size() && !contained; ++e) {
       contained = cube_contains(primes.care(e), primes.value(e), care, value, w);
@@ -309,7 +379,7 @@ Cover heuristic_minimize(const SopSpec& spec, int loops) {
   if (spec.on.empty()) return Cover(n);
   const std::size_t w = words_for(n);
   const std::vector<std::uint64_t> on = pack_codes(spec.on, w);
-  const std::vector<std::uint64_t> off = pack_codes(spec.off, w);
+  const OffColumns off(spec.off, n);
 
   std::vector<std::size_t> order(n);
   for (std::size_t v = 0; v < n; ++v) order[v] = v;
@@ -324,8 +394,9 @@ Cover heuristic_minimize(const SopSpec& spec, int loops) {
   std::size_t best_lits = ~std::size_t{0};
   CubeList best = cover;
   bool forward = true;
+  std::int64_t expand_words = 0;
   for (int loop = 0; loop < loops; ++loop) {
-    const CubeList expanded = expand(cover, off, w, forward ? order : reversed);
+    const CubeList expanded = expand(cover, off, w, forward ? order : reversed, &expand_words);
     CubeList irred = make_irredundant(expanded, on, w);
     const std::size_t lits = irred.literal_count();
     if (lits < best_lits) {
@@ -338,6 +409,7 @@ Cover heuristic_minimize(const SopSpec& spec, int loops) {
     if (cover.empty()) break;
     forward = !forward;
   }
+  obs::counter_add("logic.expand_words", expand_words);
   Cover result = best.to_cover(n);
   MPS_ASSERT(cover_is_valid(spec, result));
   return result;
@@ -349,20 +421,10 @@ namespace {
 struct Implicant {
   std::uint64_t values;  // bit v = value of variable v (0 where dashed)
   std::uint64_t dashes;  // bit v = variable v is free
-  bool operator==(const Implicant&) const = default;
-};
-struct ImplicantHash {
-  std::size_t operator()(const Implicant& a) const {
-    return static_cast<std::size_t>(util::hash_combine(a.values, a.dashes));
-  }
 };
 
 std::uint64_t code_to_u64(const util::BitVec& code) {
-  std::uint64_t x = 0;
-  for (std::size_t v = 0; v < code.size(); ++v) {
-    if (code.test(v)) x |= std::uint64_t{1} << v;
-  }
-  return x;
+  return code.num_words() == 0 ? 0 : code.word(0);
 }
 
 Cube implicant_to_cube(const Implicant& imp, std::size_t num_vars) {
@@ -454,67 +516,175 @@ class CoveringSolver {
   std::vector<std::uint32_t> best_;
 };
 
+// Quine-McCluskey on bitmaps over the 2^n values of n < 64 variables (bit
+// x in word x/64).  For a dash mask D, bit x of B_D is set iff the
+// implicant {values x, dashes D} lies inside ON ∪ DC; such an x has every
+// bit of D clear.  Level k holds the bitmaps of the masks with k dashes.
+
+/// Word k of the values with bit v clear.
+std::uint64_t bit_clear_mask(std::size_t v, std::size_t k) {
+  static constexpr std::uint64_t kLow[6] = {0x5555555555555555, 0x3333333333333333,
+                                            0x0F0F0F0F0F0F0F0F, 0x00FF00FF00FF00FF,
+                                            0x0000FFFF0000FFFF, 0x00000000FFFFFFFF};
+  if (v < 6) return kLow[v];
+  return ((k >> (v - 6)) & 1) != 0 ? 0 : ~std::uint64_t{0};
+}
+
+/// Word k of bitmap b moved down by 2^v values (bit x takes bit x + 2^v).
+/// Only values with bit v clear are read from the result, and for v < 6
+/// such an x and x + 2^v share a word, so no bit crosses a word boundary.
+std::uint64_t shifted_down(const std::uint64_t* b, std::size_t words, std::size_t v,
+                           std::size_t k) {
+  if (v < 6) return b[k] >> (1u << v);
+  const std::size_t d = std::size_t{1} << (v - 6);
+  return k + d < words ? b[k + d] : 0;
+}
+
+/// Word k of bitmap b moved up by 2^v values (bit x + 2^v takes bit x), for
+/// a b that holds only values with bit v clear (so, as above, no bit
+/// crosses a word boundary when v < 6).
+std::uint64_t shifted_up(const std::uint64_t* b, std::size_t v, std::size_t k) {
+  if (v < 6) return b[k] << (1u << v);
+  const std::size_t d = std::size_t{1} << (v - 6);
+  return k >= d ? b[k - d] : 0;
+}
+
+struct QmLevel {
+  std::vector<std::uint64_t> masks;  ///< dash masks with a nonempty bitmap, ascending
+  std::vector<std::uint64_t> bits;   ///< their bitmaps, one after another
+  std::size_t implicants = 0;        ///< set bits over all the bitmaps
+};
+
+/// The prime implicants of ON ∪ DC, by level, then dash mask, then value.
+/// Level k+1 comes from level k: B_D = B_{D\v} & (B_{D\v} >> 2^v) on the
+/// values with bit v clear, v being D's highest bit.  An implicant of level
+/// k is prime iff no variable v outside D merges it, i.e. it is in neither
+/// B_{D|v} nor B_{D|v} << 2^v.  Only levels k and k+1 are live.  nullopt
+/// when a level holds more than `max_primes` implicants (checked before the
+/// next level is built; level 0, 2^n - |OFF|, before its bitmap exists) or
+/// the running prime count exceeds it.  Adds every level's size to
+/// `implicants`.
+std::optional<std::vector<Implicant>> qm_primes(const SopSpec& spec, std::size_t max_primes,
+                                                std::int64_t* implicants) {
+  const std::size_t n = spec.num_vars;
+  const std::uint64_t space = std::uint64_t{1} << n;
+  std::vector<std::uint64_t> off;
+  off.reserve(spec.off.size());
+  for (const auto& code : spec.off) off.push_back(code_to_u64(code));
+  std::sort(off.begin(), off.end());
+  off.erase(std::unique(off.begin(), off.end()), off.end());
+
+  QmLevel level;
+  level.implicants = space - off.size();
+  if (level.implicants > max_primes) return std::nullopt;
+  const std::size_t words = std::max<std::uint64_t>(1, space / 64);
+  level.masks.push_back(0);
+  level.bits.assign(words, space < 64 ? (std::uint64_t{1} << space) - 1 : ~std::uint64_t{0});
+  for (const std::uint64_t x : off) level.bits[x >> 6] &= ~(std::uint64_t{1} << (x & 63));
+
+  // Where each dash mask's bitmap sits in its level (-1: empty).  Masks of
+  // different levels differ in popcount, so one table serves both.
+  std::vector<std::int32_t> slot(space, -1);
+  slot[0] = 0;
+  std::vector<Implicant> primes;
+  std::vector<std::uint64_t> prime(words);
+  for (std::size_t k = 0; level.implicants > 0; ++k) {
+    if (level.implicants > max_primes) return std::nullopt;
+    *implicants += static_cast<std::int64_t>(level.implicants);
+
+    QmLevel next;
+    // Masks with k+1 bits in ascending order (Gosper's next-combination step).
+    for (std::uint64_t d = k < n ? (std::uint64_t{1} << (k + 1)) - 1 : space; d < space;) {
+      const std::size_t v = static_cast<std::size_t>(std::bit_width(d)) - 1;
+      if (const std::int32_t from = slot[d ^ (std::uint64_t{1} << v)]; from >= 0) {
+        const std::uint64_t* b = &level.bits[static_cast<std::size_t>(from) * words];
+        const std::size_t base = next.bits.size();
+        next.bits.resize(base + words);
+        std::size_t count = 0;
+        for (std::size_t kw = 0; kw < words; ++kw) {
+          const std::uint64_t x = b[kw] & shifted_down(b, words, v, kw) & bit_clear_mask(v, kw);
+          next.bits[base + kw] = x;
+          count += static_cast<std::size_t>(std::popcount(x));
+        }
+        if (count == 0) {
+          next.bits.resize(base);
+        } else {
+          slot[d] = static_cast<std::int32_t>(next.masks.size());
+          next.masks.push_back(d);
+          next.implicants += count;
+        }
+      }
+      const std::uint64_t low = d & (~d + 1);
+      const std::uint64_t r = d + low;
+      d = (((r ^ d) >> 2) / low) | r;
+    }
+
+    for (std::size_t i = 0; i < level.masks.size(); ++i) {
+      const std::uint64_t dashes = level.masks[i];
+      std::copy_n(&level.bits[i * words], words, prime.begin());
+      for (std::size_t v = 0; v < n; ++v) {
+        if ((dashes >> v) & 1) continue;
+        const std::int32_t to = slot[dashes | (std::uint64_t{1} << v)];
+        if (to < 0) continue;
+        const std::uint64_t* b = &next.bits[static_cast<std::size_t>(to) * words];
+        for (std::size_t kw = 0; kw < words; ++kw) prime[kw] &= ~(b[kw] | shifted_up(b, v, kw));
+      }
+      for (std::size_t kw = 0; kw < words; ++kw) {
+        for (std::uint64_t x = prime[kw]; x != 0; x &= x - 1) {
+          primes.push_back(Implicant{64 * kw + static_cast<std::uint64_t>(std::countr_zero(x)),
+                                     dashes});
+        }
+      }
+    }
+    if (primes.size() > max_primes) return std::nullopt;
+    level = std::move(next);
+  }
+  return primes;
+}
+
+/// qm_primes within the variable and prime limits of `opts`; the level
+/// sizes go to the logic.qm_implicants counter.
+std::optional<std::vector<Implicant>> limited_primes(const SopSpec& spec,
+                                                     const MinimizeOptions& opts) {
+  if (spec.num_vars > opts.exact_max_vars || spec.num_vars >= 64) return std::nullopt;
+  std::int64_t implicants = 0;
+  auto primes = qm_primes(spec, opts.exact_max_primes, &implicants);
+  obs::counter_add("logic.qm_implicants", implicants);
+  return primes;
+}
+
 }  // namespace
+
+std::optional<Cover> prime_implicants(const SopSpec& spec, const MinimizeOptions& opts) {
+  const auto primes = limited_primes(spec, opts);
+  if (!primes.has_value()) return std::nullopt;
+  Cover out(spec.num_vars);
+  for (const Implicant& p : *primes) out.add(implicant_to_cube(p, spec.num_vars));
+  return out;
+}
 
 std::optional<Cover> exact_minimize(const SopSpec& spec, const MinimizeOptions& opts) {
   const std::size_t n = spec.num_vars;
   if (n > opts.exact_max_vars || n >= 64) return std::nullopt;
   if (spec.on.empty()) return Cover(n);
-
-  // Enumerate ON ∪ DC (= everything not OFF) as the implicant seed set.
-  std::unordered_set<std::uint64_t> off_set;
-  for (const auto& code : spec.off) off_set.insert(code_to_u64(code));
-
-  std::unordered_set<Implicant, ImplicantHash> current;
-  const std::uint64_t space = std::uint64_t{1} << n;
-  for (std::uint64_t x = 0; x < space; ++x) {
-    if (!off_set.contains(x)) current.insert(Implicant{x, 0});
-  }
-
-  // Iterative pairwise combination, collecting primes (uncombined cubes).
-  std::vector<Implicant> primes;
-  while (!current.empty()) {
-    if (current.size() > opts.exact_max_primes) return std::nullopt;
-    std::unordered_set<Implicant, ImplicantHash> next;
-    std::unordered_set<Implicant, ImplicantHash> combined;
-    std::vector<Implicant> list(current.begin(), current.end());
-    // Group by dash mask for O(k) neighbour probing.
-    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> by_dashes;
-    std::unordered_set<Implicant, ImplicantHash> lookup(current.begin(), current.end());
-    for (std::uint32_t i = 0; i < list.size(); ++i) by_dashes[list[i].dashes].push_back(i);
-    for (const Implicant& imp : list) {
-      for (std::size_t v = 0; v < n; ++v) {
-        const std::uint64_t bit = std::uint64_t{1} << v;
-        if (imp.dashes & bit) continue;
-        const Implicant partner{imp.values ^ bit, imp.dashes};
-        if (!lookup.contains(partner)) continue;
-        combined.insert(imp);
-        combined.insert(partner);
-        next.insert(Implicant{imp.values & ~bit & ~(imp.dashes | bit), imp.dashes | bit});
-      }
-    }
-    for (const Implicant& imp : list) {
-      if (!combined.contains(imp)) primes.push_back(imp);
-    }
-    current = std::move(next);
-    if (primes.size() > opts.exact_max_primes) return std::nullopt;
-  }
+  const auto primes = limited_primes(spec, opts);
+  if (!primes.has_value()) return std::nullopt;
 
   // Covering: only primes covering at least one ON minterm matter.
-  std::vector<util::BitVec> on_codes = spec.on;
+  std::vector<std::uint64_t> on_codes;
+  on_codes.reserve(spec.on.size());
+  for (const auto& code : spec.on) on_codes.push_back(code_to_u64(code));
   std::vector<std::vector<std::uint32_t>> col_rows;
   std::vector<int> col_cost;
   std::vector<Implicant> cols;
-  for (const Implicant& p : primes) {
+  for (const Implicant& p : *primes) {
     std::vector<std::uint32_t> rows;
     for (std::uint32_t r = 0; r < on_codes.size(); ++r) {
-      const std::uint64_t code = code_to_u64(on_codes[r]);
-      if ((code & ~p.dashes) == (p.values & ~p.dashes)) rows.push_back(r);
+      if ((on_codes[r] & ~p.dashes) == p.values) rows.push_back(r);
     }
     if (!rows.empty()) {
       col_rows.push_back(std::move(rows));
-      col_cost.push_back(static_cast<int>(n - static_cast<std::size_t>(
-                                                  std::popcount(p.dashes & (space - 1)))));
+      col_cost.push_back(static_cast<int>(n) - std::popcount(p.dashes));
       cols.push_back(p);
     }
   }
@@ -531,13 +701,19 @@ std::optional<Cover> exact_minimize(const SopSpec& spec, const MinimizeOptions& 
 }
 
 Cover minimize(const SopSpec& spec, const MinimizeOptions& opts) {
-  Cover heur = heuristic_minimize(spec, opts.heuristic_loops);
+  obs::Span span("logic.minimize");
+  span.arg("vars", static_cast<std::int64_t>(spec.num_vars));
+  span.arg("on", static_cast<std::int64_t>(spec.on.size()));
+  span.arg("off", static_cast<std::int64_t>(spec.off.size()));
+  Cover cover = heuristic_minimize(spec, opts.heuristic_loops);
   if (opts.try_exact) {
-    if (const auto exact = exact_minimize(spec, opts); exact.has_value()) {
-      if (exact->literal_count() < heur.literal_count()) return *exact;
+    if (auto exact = exact_minimize(spec, opts);
+        exact.has_value() && exact->literal_count() < cover.literal_count()) {
+      cover = std::move(*exact);
     }
   }
-  return heur;
+  span.arg("cubes", static_cast<std::int64_t>(cover.size()));
+  return cover;
 }
 
 bool cover_is_valid(const SopSpec& spec, const Cover& cover) {

@@ -8,6 +8,23 @@
 // Functions are specified by explicit ON and OFF minterm lists; everything
 // else is a don't-care (exactly the situation for next-state functions
 // extracted from a state graph, where unreachable codes are free).
+//
+// Both inner kernels are word-parallel bitmaps:
+//   * EXPAND holds OFF as one column per variable (bit i of column v is
+//     variable v of OFF code i).  A cube hits OFF iff the AND of its
+//     literals' columns (a negative literal takes the complement) is
+//     nonzero, so testing one freed literal costs about 2 * |OFF| / 64
+//     words instead of a scan of every OFF code.  The columns take
+//     n * |OFF| bits, no more than the OFF list itself.
+//   * Quine-McCluskey keeps, per dash mask, a bitmap over the 2^n values;
+//     a level is built from the previous one by shift-and-AND, and only
+//     two levels are live, each one 2^n-bit bitmap per nonempty dash mask.
+//     Level 0 (2^n - |OFF| implicants) is checked against exact_max_primes
+//     before its bitmap is allocated, so 2^n never exceeds
+//     |OFF| + exact_max_primes.
+// Both keep the predicates of the per-minterm formulation, so the covers
+// are the same.  Effort counters (obs): logic.expand_words (column words
+// ANDed by EXPAND) and logic.qm_implicants (implicants over all QM levels).
 #pragma once
 
 #include <optional>
@@ -46,8 +63,16 @@ Cover heuristic_minimize(const SopSpec& spec, int loops = 4);
 
 /// Exact Quine-McCluskey + covering.  nullopt if the instance exceeds the
 /// configured limits (too many variables/primes) — never silently
-/// approximate: callers fall back to the heuristic result.
+/// approximate: callers fall back to the heuristic result.  The covering
+/// sees the primes in prime_implicants' order, so among covers of equal
+/// cost the choice is deterministic.
 std::optional<Cover> exact_minimize(const SopSpec& spec, const MinimizeOptions& opts = {});
+
+/// Every prime implicant of ON ∪ DC (exact_minimize's first stage), ordered
+/// by dash count, then dash mask, then values.  nullopt when the variable
+/// count exceeds exact_max_vars, or a QM level or the running prime count
+/// exceeds exact_max_primes.
+std::optional<Cover> prime_implicants(const SopSpec& spec, const MinimizeOptions& opts = {});
 
 /// Validation (used by tests and verify::): cover contains every ON minterm
 /// and no OFF minterm.

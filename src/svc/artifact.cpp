@@ -61,6 +61,18 @@ std::optional<std::vector<std::string>> parse_string_array(const Json* v) {
   return out;
 }
 
+/// Read a count field into *out through Json::to_int: absent is 0, and
+/// anything but a non-negative integer (2.5, -1, 1e300, a string) is
+/// rejected (false).
+template <typename T>
+bool read_count(const Json& obj, std::string_view key, T* out) {
+  const Json* v = obj.find(key);
+  const std::optional<std::int64_t> n = v == nullptr ? 0 : v->to_int();
+  if (!n.has_value() || *n < 0) return false;
+  *out = static_cast<T>(*n);
+  return true;
+}
+
 /// The netlist columns; {0,0,""} when the netlist cannot be built (mirrors
 /// bench/table1's gate_counts helper).
 void fill_netlist(const sg::StateGraph& g,
@@ -267,11 +279,13 @@ std::optional<Artifact> Artifact::deserialize(const std::string& text) {
   a.success = j.get_bool("success", false);
   a.hit_limit = j.get_bool("hit_limit", false);
   a.failure_reason = j.get_string("failure_reason", "");
-  a.initial_states = static_cast<std::size_t>(j.get_int("initial_states", 0));
-  a.initial_signals = static_cast<std::size_t>(j.get_int("initial_signals", 0));
-  a.final_states = static_cast<std::size_t>(j.get_int("final_states", 0));
-  a.final_signals = static_cast<std::size_t>(j.get_int("final_signals", 0));
-  a.literals = static_cast<std::size_t>(j.get_int("literals", 0));
+  if (!read_count(j, "initial_states", &a.initial_states) ||
+      !read_count(j, "initial_signals", &a.initial_signals) ||
+      !read_count(j, "final_states", &a.final_states) ||
+      !read_count(j, "final_signals", &a.final_signals) ||
+      !read_count(j, "literals", &a.literals)) {
+    return std::nullopt;
+  }
 
   auto names = parse_string_array(j.find("signal_names"));
   auto inserted = parse_string_array(j.find("inserted_signals"));
@@ -293,15 +307,18 @@ std::optional<Artifact> Artifact::deserialize(const std::string& text) {
   }
 
   a.verilog = j.get_string("verilog", "");
-  a.gates = static_cast<std::size_t>(j.get_int("gates", 0));
-  a.transistors = static_cast<std::size_t>(j.get_int("transistors", 0));
+  if (!read_count(j, "gates", &a.gates) || !read_count(j, "transistors", &a.transistors)) {
+    return std::nullopt;
+  }
   a.verify_ok = j.get_bool("verify_ok", false);
   if (const Json* solver_obj = j.find("solver"); solver_obj != nullptr) {
-    a.solver.decisions = solver_obj->get_int("decisions", 0);
-    a.solver.propagations = solver_obj->get_int("propagations", 0);
-    a.solver.conflicts = solver_obj->get_int("conflicts", 0);
-    a.solver.restarts = solver_obj->get_int("restarts", 0);
-    a.solver.learned = solver_obj->get_int("learned", 0);
+    if (!read_count(*solver_obj, "decisions", &a.solver.decisions) ||
+        !read_count(*solver_obj, "propagations", &a.solver.propagations) ||
+        !read_count(*solver_obj, "conflicts", &a.solver.conflicts) ||
+        !read_count(*solver_obj, "restarts", &a.solver.restarts) ||
+        !read_count(*solver_obj, "learned", &a.solver.learned)) {
+      return std::nullopt;
+    }
   }
   a.seconds = j.get_double("seconds", 0.0);
   return a;

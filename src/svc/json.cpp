@@ -14,12 +14,17 @@ bool Json::as_bool() const {
 }
 
 std::int64_t Json::as_int() const {
-  if (kind_ == Kind::Double) {
-    MPS_ASSERT(double_ == std::floor(double_));
-    return static_cast<std::int64_t>(double_);
-  }
-  MPS_ASSERT(kind_ == Kind::Int);
-  return int_;
+  const std::optional<std::int64_t> v = to_int();
+  MPS_ASSERT(v.has_value());
+  return *v;
+}
+
+std::optional<std::int64_t> Json::to_int() const {
+  if (kind_ == Kind::Int) return int_;
+  if (kind_ != Kind::Double || double_ != std::floor(double_)) return std::nullopt;
+  // [-2^63, 2^63): both bounds are exact doubles; NaN and +-inf fail here.
+  if (!(double_ >= -0x1p63 && double_ < 0x1p63)) return std::nullopt;
+  return static_cast<std::int64_t>(double_);
 }
 
 double Json::as_double() const {
@@ -63,7 +68,7 @@ void Json::set(std::string key, Json v) {
 
 std::int64_t Json::get_int(std::string_view key, std::int64_t fallback) const {
   const Json* v = find(key);
-  return v != nullptr && v->is_number() ? v->as_int() : fallback;
+  return v != nullptr ? v->to_int().value_or(fallback) : fallback;
 }
 
 double Json::get_double(std::string_view key, double fallback) const {

@@ -51,7 +51,11 @@ class Json {
   bool is_number() const { return kind_ == Kind::Int || kind_ == Kind::Double; }
 
   bool as_bool() const;                ///< MPS_ASSERTs on kind mismatch
-  std::int64_t as_int() const;         ///< Int, or a Double with integral value
+  std::int64_t as_int() const;         ///< MPS_ASSERTs that to_int() has a value
+  /// The checked integer accessor: an Int, or a Double with an integral
+  /// value inside the int64 range; nullopt for anything else (2.5, 1e300,
+  /// a string).  Never aborts, so values off the wire go through it.
+  std::optional<std::int64_t> to_int() const;
   double as_double() const;            ///< Int or Double
   const std::string& as_string() const;
 
@@ -67,7 +71,8 @@ class Json {
   void set(std::string key, Json v);
 
   /// Typed convenience lookups for protocol parsing: value of `key` when
-  /// present and of the right kind, `fallback` otherwise.
+  /// present and of the right kind (for get_int: when to_int() has a
+  /// value), `fallback` otherwise.
   std::int64_t get_int(std::string_view key, std::int64_t fallback) const;
   double get_double(std::string_view key, double fallback) const;
   bool get_bool(std::string_view key, bool fallback) const;

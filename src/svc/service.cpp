@@ -130,7 +130,15 @@ std::string Service::handle_line(const std::string& line) {
       return j.dump();
     }
     if (op == "version") {
-      const std::int64_t asked = req.get_int("protocol", kProtocolVersion);
+      std::int64_t asked = kProtocolVersion;
+      if (const Json* protocol = req.find("protocol"); protocol != nullptr) {
+        const std::optional<std::int64_t> v = protocol->to_int();
+        if (!v.has_value()) {
+          return error_response("version", "bad_request",
+                                "protocol must be an integer");
+        }
+        asked = *v;
+      }
       if (asked != kProtocolVersion) {
         Json j = Json::parse(protocol_error(
             "version", "version",

@@ -532,7 +532,9 @@ TEST(SolveCnfBdd, AgreesWithDpll) {
     const auto bdd_model = solve_cnf_bdd(cnf);
     const auto dpll = mps::sat::Solver().solve(cnf);
     EXPECT_EQ(bdd_model.has_value(), dpll == mps::sat::Outcome::Sat) << "instance " << i;
-    if (bdd_model.has_value()) EXPECT_TRUE(cnf.satisfied_by(*bdd_model));
+    if (bdd_model.has_value()) {
+      EXPECT_TRUE(cnf.satisfied_by(*bdd_model));
+    }
   }
 }
 
@@ -553,7 +555,9 @@ TEST(SolveCnfBdd, NodeCapThrows) {
   }
   try {
     const auto model = solve_cnf_bdd(cnf, /*max_nodes=*/64);
-    if (model.has_value()) EXPECT_TRUE(cnf.satisfied_by(*model));
+    if (model.has_value()) {
+      EXPECT_TRUE(cnf.satisfied_by(*model));
+    }
   } catch (const mps::util::LimitError&) {
     SUCCEED();
   }

@@ -26,7 +26,7 @@ endif()
 
 foreach(span sat.solve petri.reachability sg.infer_codes sg.analyze_csc
              synth.modular synth.wave synth.module pool.task
-             core.input_set verify.covers verify.si)
+             core.input_set verify.covers verify.si logic.extract logic.minimize)
   if(NOT trace MATCHES "\"name\":\"${span}\"")
     message(FATAL_ERROR "trace is missing span '${span}'")
   endif()

@@ -78,4 +78,32 @@ TEST(GoldenCovers, CoverTextMatchesCommittedFile) {
   FAIL() << "golden cover text differs";
 }
 
+// EXPAND's effort on pipeline:4's next-state functions, in OFF-column words
+// ANDed.  Deterministic, so a change to the EXPAND kernel's cost (say, back
+// to one scan of the OFF list per literal test) fails here rather than in a
+// timing.  Re-pin on purpose when the kernel changes.
+TEST(MinimizerEffort, ExpandWordsPinnedOnPipeline4) {
+  svc::RequestOptions ropts = svc::default_request_options("modular");
+  svc::set_engine(&ropts, sat::Engine::Cdcl);
+  core::SynthesisOptions opts = ropts.modular;
+  opts.num_threads = 1;
+  opts.derive_logic = false;
+  const auto r = core::modular_synthesis(
+      sg::StateGraph::from_stg(benchmarks::gen_pipeline("pipeline4", 4)), opts);
+  ASSERT_TRUE(r.success);
+  std::vector<logic::SopSpec> functions;
+  for (sg::SignalId s = 0; s < r.final_graph.num_signals(); ++s) {
+    if (r.final_graph.is_input(s)) continue;
+    functions.push_back(logic::extract_next_state(r.final_graph, s));
+  }
+  obs::reset();
+  obs::set_enabled(true);
+  for (const logic::SopSpec& f : functions) logic::heuristic_minimize(f);
+  const std::int64_t words = obs::counter_value("logic.expand_words");
+  obs::set_enabled(false);
+  obs::reset();
+  EXPECT_EQ(functions.size(), 9u);
+  EXPECT_EQ(words, 86967);
+}
+
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <set>
 #include <unordered_set>
 
 #include "logic/cover.hpp"
@@ -244,6 +247,157 @@ TEST(ExactMinimize, RefusesOversizedInstances) {
   EXPECT_FALSE(exact_minimize(spec).has_value());
 }
 
+/// `off_size` distinct OFF codes and up to `on_size` further ON codes over
+/// n variables: every code for n <= 8, otherwise codes near one random base
+/// code (as in random_spec).
+SopSpec spec_with_off_size(mps::util::Rng& rng, std::size_t n, std::size_t off_size,
+                           std::size_t on_size) {
+  SopSpec spec;
+  spec.num_vars = n;
+  BitVec base(n);
+  for (std::size_t v = 0; v < n; ++v) base.set(v, rng.chance(0.5));
+  std::unordered_set<BitVec, mps::util::BitVecHash> seen;
+  for (int attempt = 0; attempt < 100000 && spec.off.size() + spec.on.size() < off_size + on_size;
+       ++attempt) {
+    BitVec c = base;
+    if (n <= 8) {
+      for (std::size_t v = 0; v < n; ++v) c.set(v, rng.chance(0.5));
+    } else {
+      const auto flips = 1 + rng.below(8);
+      for (std::uint64_t f = 0; f < flips; ++f) c.flip(rng.below(n));
+    }
+    if (!seen.insert(c).second) continue;
+    (spec.off.size() < off_size ? spec.off : spec.on).push_back(c);
+  }
+  return spec;
+}
+
+// EXPAND holds OFF as 64-bit column words: 63, 64, 65 and 129 OFF codes
+// end a word short, on, and past a word boundary.  n = 8 is the smallest
+// width with room for 129 OFF codes plus ON codes.
+TEST(Minimize, PrimeAndIrredundantAtOffColumnWordBoundaries) {
+  mps::util::Rng rng(16);
+  for (const std::size_t n : {8, 64, 70, 128}) {
+    for (const std::size_t off_size : {63, 64, 65, 129}) {
+      for (int trial = 0; trial < 4; ++trial) {
+        const SopSpec spec = spec_with_off_size(rng, n, off_size, 40);
+        ASSERT_EQ(spec.off.size(), off_size);
+        ASSERT_FALSE(spec.on.empty());
+        const Cover f = heuristic_minimize(spec);
+        const std::string where = "n " + std::to_string(n) + " |OFF| " +
+                                  std::to_string(off_size) + " trial " + std::to_string(trial);
+        EXPECT_TRUE(cover_is_valid(spec, f)) << where;
+        EXPECT_TRUE(cover_is_irredundant(spec, f)) << where;
+        for (const Cube& c : f.cubes()) EXPECT_TRUE(cube_is_prime(spec, c)) << where;
+      }
+    }
+  }
+}
+
+/// Every cube over n variables ("01-" patterns), 3^n of them.
+std::vector<Cube> all_cubes(std::size_t n) {
+  std::vector<Cube> out;
+  std::string pattern(n, '0');
+  std::size_t total = 1;
+  for (std::size_t v = 0; v < n; ++v) total *= 3;
+  for (std::size_t i = 0; i < total; ++i) {
+    std::size_t x = i;
+    for (std::size_t v = 0; v < n; ++v, x /= 3) pattern[v] = "01-"[x % 3];
+    out.push_back(Cube::from_string(pattern));
+  }
+  return out;
+}
+
+// n = 7 and 8 give QM bitmaps of two and four words, so the shifts by
+// 2^6 and 2^7 values move whole words.
+TEST(ExactMinimize, PrimeSetMatchesBruteForceEnumeration) {
+  mps::util::Rng rng(31);
+  for (std::size_t n = 1; n <= 8; ++n) {
+    const std::vector<Cube> cubes = all_cubes(n);
+    for (int trial = 0; trial < (n <= 6 ? 12 : 3); ++trial) {
+      const SopSpec spec = random_spec(rng, n);
+      std::set<std::string> expected;
+      for (const Cube& c : cubes) {
+        if (cube_is_prime(spec, c)) expected.insert(c.to_string());
+      }
+      const auto primes = prime_implicants(spec);
+      ASSERT_TRUE(primes.has_value()) << "n " << n << " trial " << trial;
+      std::set<std::string> got;
+      for (const Cube& c : primes->cubes()) {
+        EXPECT_TRUE(got.insert(c.to_string()).second) << "duplicate prime " << c.to_string();
+      }
+      EXPECT_EQ(got, expected) << "n " << n << " trial " << trial;
+      // Above 6 variables the covering can stop at its branch-node cap with
+      // a cover worse than the heuristic's (minimize() keeps the better).
+      if (spec.on.empty() || n > 6) continue;
+      const auto exact = exact_minimize(spec);
+      ASSERT_TRUE(exact.has_value());
+      EXPECT_TRUE(cover_is_valid(spec, *exact));
+      EXPECT_LE(exact->literal_count(), heuristic_minimize(spec).literal_count());
+    }
+  }
+}
+
+/// exact_minimize with a given exact_max_primes.
+std::optional<Cover> exact_with_cap(const SopSpec& spec, std::size_t cap) {
+  MinimizeOptions opts;
+  opts.exact_max_primes = cap;
+  return exact_minimize(spec, opts);
+}
+
+TEST(ExactMinimize, PrimeCapChecksEachLevelAndTheRunningCount) {
+  // Over 4 variables, ON = the codes of weight 1, 2 and 4 and OFF = weight
+  // 0 and 3.  Level 0 holds 11 implicants, level 1 the 12 weight-1/weight-2
+  // edges, level 2 none (every square needs a weight-0 or weight-3 code).
+  // The primes are those 12 edges and the isolated 1111: 13.
+  SopSpec spec;
+  spec.num_vars = 4;
+  for (int x = 0; x < 16; ++x) {
+    BitVec c(4);
+    for (int v = 0; v < 4; ++v) c.set(v, (x >> v) & 1);
+    const int weight = std::popcount(static_cast<unsigned>(x));
+    (weight == 0 || weight == 3 ? spec.off : spec.on).push_back(c);
+  }
+  EXPECT_FALSE(exact_with_cap(spec, 10).has_value());  // level 0: 11 > 10
+  EXPECT_FALSE(exact_with_cap(spec, 11).has_value());  // level 1: 12 > 11
+  EXPECT_FALSE(exact_with_cap(spec, 12).has_value());  // primes after level 1: 13 > 12
+  EXPECT_TRUE(exact_with_cap(spec, 13).has_value());
+
+  // The same rule on random functions, against brute-force level sizes:
+  // nullopt iff some level or the prime total exceeds the cap.
+  mps::util::Rng rng(5);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t n = 3 + static_cast<std::size_t>(trial % 3);
+    const SopSpec f = random_spec(rng, n);
+    if (f.on.empty()) continue;
+    std::vector<std::size_t> level(n + 1, 0);
+    std::size_t primes = 0;
+    for (const Cube& c : all_cubes(n)) {
+      bool hits_off = false;
+      for (const BitVec& code : f.off) hits_off = hits_off || c.contains_code(code);
+      if (!hits_off) ++level[n - c.literal_count()];
+      if (cube_is_prime(f, c)) ++primes;
+    }
+    const std::size_t widest = *std::max_element(level.begin(), level.end());
+    for (std::size_t cap = 0; cap <= std::max(widest, primes) + 1; ++cap) {
+      EXPECT_EQ(exact_with_cap(f, cap).has_value(), widest <= cap && primes <= cap)
+          << "trial " << trial << " cap " << cap;
+    }
+  }
+}
+
+TEST(ExactMinimize, LevelZeroIsCountedBeforeItsBitmapExists) {
+  // 2^40 values: the level-0 count alone exceeds the cap, so the call
+  // returns at once instead of allocating 2^40 bits.
+  SopSpec spec;
+  spec.num_vars = 40;
+  spec.on.push_back(BitVec(40));
+  MinimizeOptions opts;
+  opts.exact_max_vars = 63;
+  EXPECT_FALSE(exact_minimize(spec, opts).has_value());
+  EXPECT_FALSE(prime_implicants(spec, opts).has_value());
+}
+
 // --- extraction ---------------------------------------------------------
 
 TEST(Extract, CodeLessIsTheRenderingOrder) {
@@ -291,8 +445,12 @@ TEST(Extract, ImpliedValueSemantics) {
   const auto a = g.find_signal("a");
   for (mps::sg::StateId s = 0; s < g.num_states(); ++s) {
     const bool v = implied_value(g, s, a);
-    if (g.excited_dir(s, a, true)) EXPECT_TRUE(v);    // rising-excited -> 1
-    if (g.excited_dir(s, a, false)) EXPECT_FALSE(v);  // falling-excited -> 0
+    if (g.excited_dir(s, a, true)) {
+      EXPECT_TRUE(v);  // rising-excited -> 1
+    }
+    if (g.excited_dir(s, a, false)) {
+      EXPECT_FALSE(v);  // falling-excited -> 0
+    }
   }
 }
 

@@ -80,6 +80,25 @@ TEST(SvcJson, TypedGettersFallBack) {
   EXPECT_EQ(j.get_string("n", "d"), "d");
 }
 
+TEST(SvcJson, CheckedIntAcceptsOnlyInRangeIntegers) {
+  EXPECT_EQ(svc::Json(3).to_int(), 3);
+  EXPECT_EQ(svc::Json(3.0).to_int(), 3);
+  EXPECT_EQ(svc::Json(-0x1p63).to_int(), std::numeric_limits<std::int64_t>::min());
+  EXPECT_FALSE(svc::Json(2.5).to_int().has_value());
+  EXPECT_FALSE(svc::Json(1e300).to_int().has_value());
+  EXPECT_FALSE(svc::Json(-1e300).to_int().has_value());
+  EXPECT_FALSE(svc::Json(0x1p63).to_int().has_value());
+  EXPECT_FALSE(svc::Json(std::numeric_limits<double>::infinity()).to_int().has_value());
+  EXPECT_FALSE(svc::Json(std::numeric_limits<double>::quiet_NaN()).to_int().has_value());
+  EXPECT_FALSE(svc::Json("3").to_int().has_value());
+  EXPECT_FALSE(svc::Json().to_int().has_value());
+  // get_int goes through it: a non-integral value falls back, never aborts.
+  const svc::Json j = svc::Json::parse(R"({"half":1.5,"huge":1e300,"whole":4.0})");
+  EXPECT_EQ(j.get_int("half", -1), -1);
+  EXPECT_EQ(j.get_int("huge", -1), -1);
+  EXPECT_EQ(j.get_int("whole", -1), 4);
+}
+
 // -------------------------------------------------------------- SHA-256 --
 
 TEST(SvcDigest, FipsVectors) {
@@ -440,6 +459,25 @@ TEST(SvcArtifact, VersionMismatchAndGarbageAreRejected) {
   EXPECT_FALSE(svc::Artifact::deserialize(wire).has_value());
 }
 
+TEST(SvcArtifact, NonIntegralOrOutOfRangeCountsAreRejected) {
+  const std::string wire = sample_artifact().serialize();
+  for (const std::string needle : {"\"final_states\":28", "\"literals\":21",
+                                   "\"conflicts\":7"}) {
+    const auto pos = wire.find(needle);
+    ASSERT_NE(pos, std::string::npos) << needle;
+    const std::string key = needle.substr(0, needle.find(':') + 1);
+    for (const char* bad : {"2.5", "1e300", "-1", "\"28\""}) {
+      std::string corrupt = wire;
+      corrupt.replace(pos, needle.size(), key + bad);
+      EXPECT_FALSE(svc::Artifact::deserialize(corrupt).has_value()) << key << bad;
+    }
+    // An integral double is still a count.
+    std::string whole = wire;
+    whole.replace(pos, needle.size(), needle + ".0");
+    EXPECT_TRUE(svc::Artifact::deserialize(whole).has_value()) << key;
+  }
+}
+
 TEST(SvcArtifact, RebuildCoversMatchesCubeStrings) {
   const svc::Artifact a = sample_artifact();
   const auto covers = a.rebuild_covers();
@@ -508,6 +546,23 @@ TEST(SvcService, PingStatsAndUnknownOps) {
   const svc::Json garbage = svc::Json::parse(service.handle_line("][ not json"));
   EXPECT_FALSE(garbage.get_bool("ok", true));
   EXPECT_EQ(garbage.get_string("kind", ""), "bad_request");
+}
+
+TEST(SvcService, VersionRejectsNonIntegralProtocolAndKeepsServing) {
+  svc::Service service(fast_service_options());
+  for (const char* bad : {"1.5", "1e300", "-1e300", "\"1\"", "null"}) {
+    const svc::Json r = svc::Json::parse(
+        service.handle_line(std::string(R"({"op":"version","protocol":)") + bad + "}"));
+    EXPECT_FALSE(r.get_bool("ok", true)) << bad;
+    EXPECT_EQ(r.get_string("kind", ""), "bad_request") << bad;
+    EXPECT_EQ(service.handle_line(R"({"op":"ping"})"), R"({"ok":true,"op":"ping"})") << bad;
+  }
+  svc::Json good = svc::Json::object();
+  good.set("op", "version");
+  good.set("protocol", svc::Json(static_cast<double>(svc::kProtocolVersion)));
+  const svc::Json ok = svc::Json::parse(service.handle_line(good.dump()));
+  EXPECT_TRUE(ok.get_bool("ok", false)) << ok.dump();
+  EXPECT_EQ(ok.get_int("protocol", -1), svc::kProtocolVersion);
 }
 
 TEST(SvcService, SynthRunsCachesAndReportsParseErrors) {
